@@ -389,7 +389,7 @@ def differential_replay(
     an FPVM (same config both sides); ``chain=False`` turns the check on
     the unchained uop engine instead (isolation aid); ``trace=True``
     pins the fused trace-JIT tier on so probes compile and run traces
-    (``None`` leaves the ``FPVM_TRACEJIT`` default), and
+    (``None`` leaves the CPU default, which is on), and
     ``trace_threshold`` lowers the stabilization threshold so even
     short fuzz loops fuse."""
     recorder = TraceRecorder(

@@ -48,7 +48,7 @@ QUANTA = (1, 7, 64)
 #: cached superblocks inside a quantum with the trace JIT pinned off;
 #: ``traced`` additionally fuses stable chain cycles into generated
 #: closures.  Both flags are pinned explicitly so the tiers stay
-#: distinct regardless of the ``FPVM_TRACEJIT`` environment default.
+#: distinct regardless of the CPU's defaults.
 TIERS = {
     "batched": (False, False),
     "chained": (True, False),

@@ -18,6 +18,7 @@ import enum
 from collections import Counter
 from dataclasses import dataclass
 
+from repro.errors import DeadlockError
 from repro.fpu.ieee import FPFlags, FPResult, ieee_op
 from repro.machine import hostfp
 from repro.machine.costs import DEFAULT_COSTS, CostModel
@@ -34,8 +35,7 @@ from repro.machine.isa import (
 from repro.machine.memory import PROT_EXEC, PROT_READ, PROT_WRITE, Memory, PAGE_SIZE
 from repro.machine.program import PatchKind, Program, STACK_TOP, shadow_view_enabled
 from repro.machine.registers import Flags, RegisterFile, rounding_mode, unmasked_status
-from repro.machine.uops import chain_enabled_default, uops_enabled_default
-from repro.machine.tracejit import trace_enabled_default
+from repro.machine.uops import uops_enabled_default
 
 U64 = 0xFFFF_FFFF_FFFF_FFFF
 #: Return address sentinel: a ``ret`` to this address halts the machine.
@@ -154,15 +154,15 @@ class CPU:
         self.uops_enabled = uops_enabled_default() if uops is None else uops
         #: follow direct control edges between cached superblocks
         #: (cross-quantum chaining) instead of returning to the engine
-        #: loop at every tail.  FPVM_CHAIN environment knob; only
-        #: meaningful with ``uops_enabled``.
-        self.chain_enabled = chain_enabled_default() if chain is None else chain
+        #: loop at every tail.  Default on; only meaningful with
+        #: ``uops_enabled``.
+        self.chain_enabled = True if chain is None else chain
         #: fuse stable superblock chains into compiled trace closures
-        #: (the trace-JIT tier, tracejit.py).  FPVM_TRACEJIT knob; only
+        #: (the trace-JIT tier, tracejit.py).  Default on; only
         #: meaningful with ``chain_enabled``.
-        self.trace_enabled = trace_enabled_default() if trace is None else trace
+        self.trace_enabled = True if trace is None else trace
         #: consecutive identical laps of a block cycle before fusing it
-        #: (tests tune this; None = FPVM_TRACE_THRESHOLD / default 3).
+        #: (tests tune this; None = ``tracejit.STABILIZE_THRESHOLD``).
         self.trace_stabilize_threshold: int | None = None
         #: the SuperblockCache holding this core's blocks.  A Process
         #: installs its shared per-process cache here (one patch-epoch
@@ -247,16 +247,23 @@ class CPU:
         return self._uop_engine
 
     def run(self, max_steps: int | None = None) -> None:
+        """Run to halt as scheduler quanta of whatever step budget is
+        left.  The first quantum gets the whole limit, so an ordinary
+        run is one dispatch and its budget edge is the runaway edge:
+        reaching ``max_steps`` steps raises even when the last step
+        halted (the seed's check-after-step order).  A quantum that makes no
+        progress without halting means the core is blocked in
+        ``thread_join`` with no scheduler to wake it."""
         limit = max_steps if max_steps is not None else self.max_instructions
-        if self.uops_enabled:
-            self._engine().run(limit)
-            return
         steps = 0
         while not self.halted:
-            self.step()
-            steps += 1
+            taken = self.run_quantum(limit - steps)
+            steps += taken
             if steps >= limit:
                 raise MachineError(f"run exceeded {limit} steps (runaway?)")
+            if not taken:
+                raise DeadlockError(
+                    "run of a blocked core: nothing can clear thread_join")
 
     def run_quantum(self, budget: int) -> int:
         """Execute up to ``budget`` scheduler steps and return how many

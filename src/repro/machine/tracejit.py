@@ -49,7 +49,6 @@ step (see ``tests/conformance/test_replay.py``).
 
 from __future__ import annotations
 
-import os
 import struct
 from collections import OrderedDict
 
@@ -65,7 +64,6 @@ from repro.machine.isa import (
 )
 from repro.machine.memory import PAGE_SHIFT, PAGE_SIZE, PROT_READ, PROT_WRITE
 from repro.machine.uops import (
-    _FALSEY,
     _FP_FAST_FIELD,
     _FP_FAST_VALUE,
     _fadd,
@@ -120,19 +118,9 @@ CODEGEN_HOOK = None
 _SBIT = 1 << 63
 
 
-def trace_enabled_default() -> bool:
-    """The ``FPVM_TRACEJIT`` escape hatch: set to ``0`` to keep chained
-    dispatch but never fuse chains into compiled traces."""
-    return os.environ.get("FPVM_TRACEJIT", "1").strip().lower() not in _FALSEY
-
-
-def stabilize_threshold_default() -> int:
-    """``FPVM_TRACE_THRESHOLD``: consecutive identical laps of a block
-    cycle before it is fused (default 3)."""
-    try:
-        return max(1, int(os.environ.get("FPVM_TRACE_THRESHOLD", "3")))
-    except ValueError:
-        return 3
+#: consecutive identical laps of a block cycle before it is fused
+#: (``cpu.trace_stabilize_threshold`` overrides it per CPU).
+STABILIZE_THRESHOLD = 3
 
 
 # ------------------------------------------------------------ ChainTrace
@@ -771,7 +759,7 @@ def _relower(cpu, blocks):
 #: ``compile()`` makes recompiles near-free.  The exec namespace is
 #: always fresh, so cached code never aliases state.
 #:
-#: The cache is a true LRU bounded by ``FPVM_TRACE_CACHE_CAP``: a
+#: The cache is a true LRU bounded by :data:`CODE_CACHE_CAP`: a
 #: long-lived fleet worker cycling through many distinct programs must
 #: not grow compiled-closure memory without limit.  Hits, misses, and
 #: evictions are module-level counters; the uop engine snapshots them
@@ -779,24 +767,18 @@ def _relower(cpu, blocks):
 #: there the per-worker fleet telemetry).
 _CODE_CACHE: "OrderedDict[str, object]" = OrderedDict()
 
+#: max distinct compiled trace sources kept.
+CODE_CACHE_CAP = 256
+
 CODE_CACHE_HITS = 0
 CODE_CACHE_MISSES = 0
 CODE_CACHE_EVICTIONS = 0
 
 
-def code_cache_cap() -> int:
-    """``FPVM_TRACE_CACHE_CAP``: max distinct compiled trace sources
-    kept (default 256, minimum 1)."""
-    try:
-        return max(1, int(os.environ.get("FPVM_TRACE_CACHE_CAP", "256")))
-    except ValueError:
-        return 256
-
-
 def code_cache_stats() -> dict:
     return {
         "size": len(_CODE_CACHE),
-        "cap": code_cache_cap(),
+        "cap": CODE_CACHE_CAP,
         "hits": CODE_CACHE_HITS,
         "misses": CODE_CACHE_MISSES,
         "evictions": CODE_CACHE_EVICTIONS,
@@ -811,8 +793,7 @@ def _compile_source(source: str, entry: int):
         CODE_CACHE_HITS += 1
         return code
     CODE_CACHE_MISSES += 1
-    cap = code_cache_cap()
-    while len(_CODE_CACHE) >= cap:
+    while len(_CODE_CACHE) >= CODE_CACHE_CAP:
         _CODE_CACHE.popitem(last=False)
         CODE_CACHE_EVICTIONS += 1
     code = compile(source, f"<trace@{entry:#x}>", "exec")

@@ -5,6 +5,7 @@ multi-threaded processes — bare and FPVM-attached."""
 import pytest
 
 from repro.core.vm import FPVM, FPVMConfig
+from repro.errors import DeadlockError
 from repro.kernel.kernel import LinuxKernel
 from repro.machine.assembler import assemble
 from repro.machine.cpu import CPU
@@ -180,6 +181,16 @@ class TestRunQuantum:
         cpu = _loop_cpu(True)
         cpu.blocked = True
         assert cpu.run_quantum(64) == 0
+        assert cpu.instruction_count == 0
+
+    @pytest.mark.parametrize("uops_on", [False, True], ids=["seed", "uops"])
+    def test_blocked_cpu_run_raises_deadlock(self, uops_on):
+        """A bare run of a blocked core has no scheduler to clear the
+        join: its first quantum takes no step, which is a deadlock."""
+        cpu = _loop_cpu(uops_on)
+        cpu.blocked = True
+        with pytest.raises(DeadlockError):
+            cpu.run()
         assert cpu.instruction_count == 0
 
     def test_quantum_exit_reasons_recorded(self):

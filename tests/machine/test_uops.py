@@ -113,18 +113,41 @@ class TestUopsOnOffDifferential:
             results[flag] = (cpu.cycles, cpu.instruction_count, tuple(cpu.output))
         assert results[False] == results[True]
 
-    def test_runaway_limit_matches_interpreter(self):
+    @pytest.mark.parametrize("chain,trace", [(False, False), (True, False),
+                                             (True, True)],
+                             ids=["uops", "chained", "traced"])
+    def test_runaway_limit_matches_interpreter(self, chain, trace):
+        """The runaway edge of every tier sits where the interpreter's
+        does, including the halt edge: a limit equal to the seed's step
+        count ``n`` raises although its last step halts, and ``n + 1``
+        runs to completion."""
         prog = build_program("lorenz", 40)
-        for limit in (1, 7, 100):
+
+        def make(uops_on):
+            cpu = CPU(prog.copy(), uops=uops_on, chain=chain, trace=trace)
+            cpu.kernel = LinuxKernel()
+            cpu.trace_stabilize_threshold = 1
+            return cpu
+
+        seed = make(False)
+        n = seed.run_quantum(10**9)
+        assert seed.halted
+        for limit in (1, 7, 100, n - 1, n):
             messages = {}
             for flag in (False, True):
-                cpu = CPU(prog.copy(), uops=flag)
-                cpu.kernel = LinuxKernel()
+                cpu = make(flag)
                 with pytest.raises(MachineError) as exc:
                     cpu.run(max_steps=limit)
                 messages[flag] = (str(exc.value), cpu.cycles,
                                   cpu.instruction_count, cpu.regs.rip)
             assert messages[False] == messages[True]
+        cpu = make(True)
+        cpu.run(max_steps=n + 1)
+        assert cpu.halted
+        assert (cpu.cycles, cpu.instruction_count) == (seed.cycles,
+                                                       seed.instruction_count)
+        if trace:
+            assert cpu.uop_stats.trace_compiles > 0
 
     def test_uop_stats_populated(self):
         cpu = CPU(build_program("lorenz", 20), uops=True)

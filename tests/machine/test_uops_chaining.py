@@ -120,14 +120,6 @@ class TestChainMechanics:
         assert results["chained"] == results["stepwise"]
         assert results["unchained"] == results["stepwise"]
 
-    def test_chain_flag_defaults_to_env(self, monkeypatch):
-        prog = _program(LOOP_SRC)
-        monkeypatch.setenv("FPVM_CHAIN", "0")
-        assert CPU(prog, uops=True).chain_enabled is False
-        monkeypatch.setenv("FPVM_CHAIN", "1")
-        assert CPU(prog, uops=True).chain_enabled is True
-        assert CPU(prog, uops=True, chain=False).chain_enabled is False
-
 
 class TestTailChainGrades:
     def test_grades_by_mnemonic(self):
