@@ -27,6 +27,10 @@ class HostPerf:
     (micro-op pipeline vs. single-step interpretation)."""
 
     seconds: float = 0.0
+    #: FPVM runs only: host seconds before the run — program build plus
+    #: FPVM construction and attach, which includes the patch-site
+    #: profiling pass unless the caller supplied the sites.
+    setup_seconds: float = 0.0
     instructions: int = 0
     #: micro-op engine counters (UopStats.as_dict()), if the pipeline ran.
     uop_stats: dict | None = None
@@ -260,6 +264,7 @@ def run_fpvm_process(
     and virtualized (§2.1), scheduled in batched quanta."""
     from repro.machine.process import Process
 
+    t_setup = time.perf_counter()
     program = build_program(workload, scale, **kw)
     proc = Process(program, chain=chain, trace=trace, lazy_fp=lazy_fp)
     kernel = LinuxKernel()
@@ -269,6 +274,7 @@ def run_fpvm_process(
     seconds = time.perf_counter() - t0
     t = vm.telemetry
     host = _process_host_perf(proc, seconds)
+    host.setup_seconds = t0 - t_setup
     host.compiled_traces = t.compiled_traces
     host.compiled_trace_hits = t.compiled_trace_hits
     if vm.flow is not None:
@@ -301,6 +307,7 @@ def run_fpvm(
     trace: bool | None = None,
     **kw,
 ) -> FPVMResult:
+    t_setup = time.perf_counter()
     program = build_program(workload, scale, **kw)
     if patch_sites is not None and config.patch_sites is None:
         config = config.with_(patch_sites=patch_sites)
@@ -315,6 +322,7 @@ def run_fpvm(
     stats = cpu.uop_stats
     host = HostPerf(
         seconds=seconds,
+        setup_seconds=t0 - t_setup,
         instructions=cpu.instruction_count,
         uop_stats=stats.as_dict() if stats is not None else None,
         compiled_traces=t.compiled_traces,

@@ -33,11 +33,25 @@ from repro.machine.isa import (
 
 _I64 = struct.Struct("<q")
 
+#: payload bytes after each operand tag.
+_PAYLOAD = {TAG_REG: 1, TAG_XMM: 1, TAG_IMM: 8, TAG_MEM: 13, TAG_LABEL: 8}
+
+
+def _register(names: tuple, rid: int) -> str:
+    if rid >= len(names):
+        raise EncodingError(f"bad register id {rid}")
+    return names[rid]
+
 
 def decode_instruction(raw: bytes, addr: int = 0) -> Instruction:
     """Decode one instruction from ``raw`` (which must start at the
-    instruction's first byte).  ``addr`` is recorded on the result."""
-    if len(raw) < 2:
+    instruction's first byte).  ``addr`` is recorded on the result.
+
+    The decoder runs on the trap path against guest memory, so any
+    malformed byte string raises :class:`EncodingError` and nothing
+    else."""
+    n = len(raw)
+    if n < 2:
         raise EncodingError("truncated instruction header")
     opcode_id = raw[0]
     mnemonic = OPCODE_BY_ID.get(opcode_id)
@@ -47,38 +61,37 @@ def decode_instruction(raw: bytes, addr: int = 0) -> Instruction:
     pos = 2
     operands = []
     for _ in range(count):
-        if pos >= len(raw):
+        if pos >= n:
             raise EncodingError("truncated operand list")
         tag = raw[pos]
         pos += 1
+        size = _PAYLOAD.get(tag)
+        if size is None:
+            raise EncodingError(f"bad operand tag {tag}")
+        if pos + size > n:
+            raise EncodingError(f"truncated operand (tag {tag})")
         if tag == TAG_REG:
-            operands.append(Reg(GPR_NAMES[raw[pos]]))
-            pos += 1
+            operands.append(Reg(_register(GPR_NAMES, raw[pos])))
         elif tag == TAG_XMM:
-            operands.append(Xmm(XMM_NAMES[raw[pos]]))
-            pos += 1
+            operands.append(Xmm(_register(XMM_NAMES, raw[pos])))
         elif tag == TAG_IMM:
             operands.append(Imm(_I64.unpack_from(raw, pos)[0]))
-            pos += 8
         elif tag == TAG_MEM:
             flags = raw[pos]
-            base = GPR_NAMES[raw[pos + 1]] if flags & 1 else None
-            index = GPR_NAMES[raw[pos + 2]] if flags & 2 else None
-            scale = raw[pos + 3]
-            size = raw[pos + 4]
-            disp = _I64.unpack_from(raw, pos + 5)[0]
-            rip_label = "<rip>" if flags & 4 else None
-            operands.append(
-                Mem(base=base, index=index, scale=scale, disp=disp,
-                    rip_label=rip_label, size=size)
-            )
-            pos += 13
-        elif tag == TAG_LABEL:
+            base = _register(GPR_NAMES, raw[pos + 1]) if flags & 1 else None
+            index = _register(GPR_NAMES, raw[pos + 2]) if flags & 2 else None
+            try:
+                mem = Mem(base=base, index=index, scale=raw[pos + 3],
+                          disp=_I64.unpack_from(raw, pos + 5)[0],
+                          rip_label="<rip>" if flags & 4 else None,
+                          size=raw[pos + 4])
+            except ValueError as exc:
+                raise EncodingError(f"bad memory operand: {exc}") from None
+            operands.append(mem)
+        else:
             target = _I64.unpack_from(raw, pos)[0]
             operands.append(Label(f"loc_{target:x}", addr=target))
-            pos += 8
-        else:
-            raise EncodingError(f"bad operand tag {tag}")
+        pos += size
     instr = Instruction(mnemonic, tuple(operands), addr=addr, size=pos,
                         raw=bytes(raw[:pos]))
     return instr

@@ -343,9 +343,9 @@ _CMP_FAST = {
 
 # ---------------------------------------------------- fast memory closures
 # Inlined single-page 8-byte access for bound closures.  Anything off
-# the happy path (attached observers, unmapped page — auto-map and
-# faults included — page-straddling access, permission violations)
-# falls back to the Memory methods, so semantics are exactly theirs.
+# the happy path (unmapped page — auto-map and faults included —
+# page-straddling access, permission violations) falls back to the
+# Memory methods, so semantics are exactly theirs.
 _PAGE_SIZE = PAGE_SIZE
 _PAGE_SHIFT = PAGE_SHIFT
 _PAGE_MASK = PAGE_SIZE - 1
@@ -353,32 +353,37 @@ _FROM_LE = int.from_bytes
 
 
 def _load8_factory(mem, fp: bool):
-    """Fast ``observed_load(ea, 8, fp)``."""
+    """Fast ``observed_load(ea, 8, fp)``: observers are notified after
+    the access, exactly as ``observed_load`` does."""
     pages = mem._pages
 
     def load8(addr):
-        if mem.observers:
-            return mem.observed_load(addr, 8, fp)
         page = pages.get(addr >> _PAGE_SHIFT)
         off = addr & _PAGE_MASK
         if page is None or off > _PAGE_SIZE - 8 or not (page.prot & PROT_READ):
             return mem.observed_load(addr, 8, fp)
-        return _FROM_LE(page.data[off:off + 8], "little")
+        value = _FROM_LE(page.data[off:off + 8], "little")
+        if mem.observers:
+            for obs in mem.observers:
+                obs(addr, 8, "fp_load" if fp else "int_load", value)
+        return value
     return load8
 
 
 def _store8_factory(mem, fp: bool):
-    """Fast ``observed_store(ea, v, 8, fp)``."""
+    """Fast ``observed_store(ea, v, 8, fp)`` (observers as in
+    :func:`_load8_factory`)."""
     pages = mem._pages
 
     def store8(addr, value):
-        if mem.observers:
-            return mem.observed_store(addr, value, 8, fp)
         page = pages.get(addr >> _PAGE_SHIFT)
         off = addr & _PAGE_MASK
         if page is None or off > _PAGE_SIZE - 8 or not (page.prot & PROT_WRITE):
             return mem.observed_store(addr, value, 8, fp)
         page.data[off:off + 8] = _PACK_Q(value & U64)
+        if mem.observers:
+            for obs in mem.observers:
+                obs(addr, 8, "fp_store" if fp else "int_store", value)
     return store8
 
 
@@ -1333,9 +1338,9 @@ class Superblock:
     trace-root blacklisting of trace JITs — and fall back to plain
     engine-loop dispatch until the block cache is rebuilt."""
 
-    __slots__ = ("entry", "end", "body", "classes", "class_counts",
-                 "prefix_cost", "n_body", "tail", "tail_addr", "chainable",
-                 "chain_check", "links", "chain_root", "chain_shorts",
+    __slots__ = ("entry", "end", "body", "classes", "uops", "class_counts",
+                 "class_prefix", "prefix_cost", "n_body", "tail", "tail_addr",
+                 "chainable", "chain_check", "links", "chain_root", "chain_shorts",
                  "prefix_fp", "prefix_touch", "fp_writes", "fp_touch")
 
     def __init__(self, entry, body, classes, prefix_cost, tail, tail_addr,
@@ -1347,7 +1352,12 @@ class Superblock:
         self.end = entry if end is None else end
         self.body = body
         self.classes = classes
+        #: the lowered micro-op behind each body closure.
+        self.uops = tuple(uops)
         self.class_counts = dict(Counter(classes))
+        #: per class, how many of the first ``i`` body uops it retires
+        #: (built on the first partial retirement; see :meth:`slice_classes`).
+        self.class_prefix = None
         self.prefix_cost = prefix_cost
         self.n_body = len(body)
         #: lazy-FP lowering-time summaries: ``prefix_fp[i]`` is the XMM
@@ -1372,6 +1382,20 @@ class Superblock:
         self.links: dict[int, "Superblock"] = {}
         self.chain_root = True
         self.chain_shorts = 0
+
+    def slice_classes(self, start: int, end: int):
+        """``(class, count)`` retired by body uops ``[start, end)``: one
+        subtraction per class rather than one hash per uop."""
+        prefix = self.class_prefix
+        if prefix is None:
+            prefix = self.class_prefix = {
+                cls: list(itertools.accumulate(
+                    (c is cls for c in self.classes), initial=0))
+                for cls in self.class_counts}
+        for cls, pre in prefix.items():
+            cnt = pre[end] - pre[start]
+            if cnt:
+                yield cls, cnt
 
 
 #: process-wide allocator for SuperblockCache view keys (see
@@ -1736,7 +1760,7 @@ class UopEngine:
         cache = self.cache
         if cache.cached_blocks >= cache.capacity:
             cache.evict_all()
-        block = self._build(entry)
+        block = build_superblock(self.cpu, entry)
         self._blocks[entry] = block
         cache.cached_blocks += 1
         self.stats.blocks_built += 1
@@ -2197,17 +2221,19 @@ class UopEngine:
 
     # ------------------------------------------------------- body runner
     @staticmethod
-    def _run_body(cpu, block: Superblock, k: int) -> int:
-        """Execute the first ``k`` body micro-ops (the whole body when
-        ``k >= n_body``), flushing the retired prefix's accounting even
-        if a closure raises (memory fault etc.), so counters are exact
-        before any trap/exception is observable.  Every closure is
-        exactly one seed step and leaves RIP architecturally correct,
-        so stopping after a prefix that fits the remaining quantum is
-        stopping between steps; the next dispatch resumes mid-block."""
+    def _run_body(cpu, block: Superblock, k: int, start: int = 0) -> int:
+        """Execute ``k`` body micro-ops from index ``start`` (the whole
+        body when ``start == 0`` and ``k >= n_body``), flushing the
+        retired slice's accounting even if a closure raises (memory
+        fault etc.), so counters are exact before any trap/exception is
+        observable.  Every closure is exactly one seed step and leaves
+        RIP architecturally correct, so stopping after a prefix that
+        fits the remaining quantum is stopping between steps; the next
+        dispatch resumes mid-block (the engine through a fresh suffix
+        block, the patch-site profiler at an offset into this one)."""
         body = block.body
-        if k < block.n_body:
-            body = body[:k]
+        if start or k < block.n_body:
+            body = body[start:start + k]
         i = 0
         try:
             for fn in body:
@@ -2216,63 +2242,87 @@ class UopEngine:
                 i += 1
         finally:
             if i:
-                cost = block.prefix_cost[i]
+                end = start + i
+                prefix = block.prefix_cost
+                cost = prefix[end] - prefix[start]
                 cpu.cycles += cost
                 cpu.work_cycles += cost
                 cpu.instruction_count += i
-                if block.prefix_touch[i]:
-                    cpu.fp_quantum_touched = True
-                    cpu.regs.fp_dirty |= block.prefix_fp[i]
+                if block.prefix_touch[end]:
+                    if start:
+                        fp_mask = 0
+                        touched = False
+                        for uop in block.uops[start:end]:
+                            fp_mask |= uop.xmm_writes
+                            touched = touched or uop.fp_touch
+                    else:
+                        fp_mask = block.prefix_fp[end]
+                        touched = True
+                    if touched:
+                        cpu.fp_quantum_touched = True
+                        cpu.regs.fp_dirty |= fp_mask
                 rbc = cpu.retired_by_class
                 if i == block.n_body:
                     for cls, cnt in block.class_counts.items():
                         rbc[cls] += cnt
                 else:
-                    for cls in block.classes[:i]:
-                        rbc[cls] += 1
+                    for cls, cnt in block.slice_classes(start, end):
+                        rbc[cls] += cnt
         return i
 
-    # ---------------------------------------------------------- builder
-    def _build(self, entry: int) -> Superblock:
-        cpu = self.cpu
-        prog = cpu.program
-        view = cpu._fetch_view
-        by_addr = view.by_addr
-        patches = view.patches
-        body = []
-        classes = []
-        uops = []
-        prefix = [0]
-        tail = None
-        tail_addr = None
-        chain_grade = 0
-        addr = entry
-        end = entry
-        while len(body) < MAX_BLOCK:
-            if addr in patches:
-                break
-            instr = by_addr.get(addr)
-            if instr is None:
-                break
-            uop = lower(instr)
-            cls = uop.opclass
-            if cls is OpClass.CONTROL:
-                tail = bind_control(uop, cpu)
-                if tail is not None:
-                    tail_addr = addr
-                    chain_grade = _tail_chain_grade(uop, prog)
-                    end = addr + uop.size
-                break
-            if cls is OpClass.SYS:
-                break
-            fn = bind_exec(uop, cpu)
-            if fn is None:
-                break
-            body.append(fn)
-            classes.append(cls)
-            uops.append(uop)
-            prefix.append(prefix[-1] + uop.cost)
-            addr += uop.size
-            end = addr
-        return Superblock(entry, body, classes, prefix, tail, tail_addr,
-                          chain_grade, end=end, uops=uops)
+# ----------------------------------------------------------------- builder
+def build_superblock(cpu, entry: int, stop=None, wrap=None) -> Superblock:
+    """Lower and bind the straight-line run of micro-ops at ``entry``
+    for ``cpu``: body closures up to :data:`MAX_BLOCK`, ended by the
+    first patched, undecodable, SYS or unbindable instruction, or by a
+    control instruction bound as the block's tail.
+
+    ``stop(uop)`` ends the block *before* ``uop`` (a control uop it
+    stops on gets no tail); ``wrap(uop, fn)`` may replace each body
+    closure at bind time.  The engine uses neither; the patch-site
+    profiler uses both (see :mod:`repro.core.profiler`)."""
+    prog = cpu.program
+    view = cpu._fetch_view
+    by_addr = view.by_addr
+    patches = view.patches
+    body = []
+    classes = []
+    uops = []
+    prefix = [0]
+    tail = None
+    tail_addr = None
+    chain_grade = 0
+    addr = entry
+    end = entry
+    while len(body) < MAX_BLOCK:
+        if addr in patches:
+            break
+        instr = by_addr.get(addr)
+        if instr is None:
+            break
+        uop = lower(instr)
+        if stop is not None and stop(uop):
+            break
+        cls = uop.opclass
+        if cls is OpClass.CONTROL:
+            tail = bind_control(uop, cpu)
+            if tail is not None:
+                tail_addr = addr
+                chain_grade = _tail_chain_grade(uop, prog)
+                end = addr + uop.size
+            break
+        if cls is OpClass.SYS:
+            break
+        fn = bind_exec(uop, cpu)
+        if fn is None:
+            break
+        if wrap is not None:
+            fn = wrap(uop, fn)
+        body.append(fn)
+        classes.append(cls)
+        uops.append(uop)
+        prefix.append(prefix[-1] + uop.cost)
+        addr += uop.size
+        end = addr
+    return Superblock(entry, body, classes, prefix, tail, tail_addr,
+                      chain_grade, end=end, uops=uops)

@@ -38,6 +38,33 @@ class TestRunner:
         assert r.ledger["altmath"] > 0
         assert r.config_name == "SEQ_SHORT"
 
+    def test_setup_seconds_cover_the_profiler_pass(self, monkeypatch):
+        """``HostPerf.seconds`` times only the run; the attach-time
+        patch-site profiling pass lands in ``setup_seconds``."""
+        import time
+
+        from repro.core import vm as vm_module
+
+        real = vm_module.profile_patch_sites
+        calls = []
+
+        def slow_profile(program, *a, **kw):
+            calls.append(program)
+            time.sleep(0.2)
+            return real(program, *a, **kw)
+
+        monkeypatch.setattr(vm_module, "profile_patch_sites", slow_profile)
+        r = run_fpvm("lorenz", FPVMConfig.seq_short(), scale=30)
+        assert len(calls) == 1
+        assert r.host.setup_seconds >= 0.2
+        assert r.host.seconds < r.host.setup_seconds
+
+        calls.clear()
+        r = run_fpvm("lorenz", FPVMConfig.seq_short(), scale=30,
+                     patch_sites=frozenset())
+        assert not calls
+        assert 0 < r.host.setup_seconds < 0.2
+
     def test_config_label_inferred(self):
         r = run_fpvm("lorenz", FPVMConfig.seq(), scale=30)
         assert r.config_name == "SEQ"

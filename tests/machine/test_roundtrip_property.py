@@ -9,9 +9,17 @@ from hypothesis import strategies as st
 from repro.machine.assembler import assemble
 from repro.machine.cpu import CPU, s64
 from repro.machine.decoder import decode_instruction
-from repro.machine.encoding import encode_instruction
+from repro.machine.encoding import (
+    TAG_IMM,
+    TAG_MEM,
+    TAG_REG,
+    TAG_XMM,
+    EncodingError,
+    encode_instruction,
+)
 from repro.machine.isa import (
     GPR_NAMES,
+    OPCODE_IDS,
     OPCODES,
     XMM_NAMES,
     Imm,
@@ -83,6 +91,48 @@ class TestEncodeDecodeProperty:
         raw = encode_instruction(instr)
         decoded = decode_instruction(raw)
         assert decoded.size == len(raw)
+
+
+# ------------------------------------------------------- decoder boundary
+@st.composite
+def near_instructions(draw):
+    """Byte strings with a valid opcode and operand tags (valid or not)
+    followed by arbitrary payload bytes: they get past the header
+    checks that plain random bytes mostly fail."""
+    out = bytearray([draw(st.sampled_from(sorted(OPCODE_IDS.values()))),
+                     draw(st.integers(0, 3))])
+    for _ in range(draw(st.integers(0, 3))):
+        out.append(draw(st.integers(0, 5)))
+        out += draw(st.binary(max_size=14))
+    return bytes(out)
+
+
+class TestDecoderBoundary:
+    """The decoder runs on the trap path against guest memory: garbage
+    bytes decode or raise :class:`EncodingError`, never a host error."""
+
+    @given(st.one_of(st.binary(max_size=23), near_instructions()))
+    @settings(max_examples=1000, deadline=None)
+    def test_garbage_raises_only_encoding_error(self, raw):
+        try:
+            decoded = decode_instruction(raw)
+        except EncodingError:
+            return
+        assert decoded.size <= len(raw)
+        assert decoded.raw == raw[:decoded.size]
+
+    @pytest.mark.parametrize("raw", [
+        bytes([OPCODE_IDS["mov"], 1, TAG_REG, 16]),            # GPR id
+        bytes([OPCODE_IDS["movsd"], 1, TAG_XMM, 200]),         # XMM id
+        bytes([OPCODE_IDS["mov"], 1, TAG_IMM, 1, 2, 3]),       # short imm
+        bytes([OPCODE_IDS["mov"], 1, TAG_MEM, 1, 0, 0, 1]),    # short mem
+        bytes([OPCODE_IDS["mov"], 1, TAG_MEM, 1, 99]) + bytes(11),  # base
+        bytes([OPCODE_IDS["mov"], 1, TAG_MEM, 0, 0, 0, 3, 8]) + bytes(8),
+        bytes([OPCODE_IDS["mov"], 1, TAG_MEM, 0, 0, 0, 1, 3]) + bytes(8),
+    ], ids=["gpr", "xmm", "imm", "mem", "base", "scale", "size"])
+    def test_former_host_errors(self, raw):
+        with pytest.raises(EncodingError):
+            decode_instruction(raw)
 
 
 # --------------------------------------------------------- ALU differential
