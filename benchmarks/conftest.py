@@ -1,9 +1,11 @@
 """Shared fixtures for the benchmark harness.
 
 Each ``bench_figNN`` module regenerates one of the paper's figures:
-the timed body produces the figure's data, and the rendered
-paper-style table is written to ``results/figNN.txt`` (and echoed to
-stdout when running with ``-s``).
+the timed body produces the figure's data, the figure's entry in
+:data:`repro.harness.figures.FIGURES` renders it, and the text is
+written to ``results/<name>.txt`` (and echoed to stdout when running
+with ``-s``).  The ablation and sensitivity scripts write their own
+tables through :func:`publish`.
 
 Full-size suites are session-scoped so the 6-workload x 4-config run
 matrix is executed once per arithmetic system per session.
@@ -16,29 +18,19 @@ import pathlib
 import pytest
 
 from repro.harness import figures
+from repro.harness.figures import publish  # noqa: F401  (bench-only tables)
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
-
-#: MPFR runs the same workloads at reduced scale: BigFloat arithmetic
-#: is orders of magnitude slower to *simulate* (not just to model).
-MPFR_SCALES = {
-    "lorenz": 150,
-    "three_body": 16,
-    "double_pendulum": 24,
-    "fbench": 6,
-    "ffbench": 16,
-    "enzo": 16,
-}
 
 
 @pytest.fixture(scope="session")
 def boxed_suite() -> figures.Suite:
-    return figures.Suite("boxed_ieee")
+    return figures.make_suite("boxed")
 
 
 @pytest.fixture(scope="session")
 def mpfr_suite() -> figures.Suite:
-    return figures.Suite("mpfr", scale_overrides=MPFR_SCALES)
+    return figures.make_suite("mpfr")
 
 
 @pytest.fixture(scope="session")
@@ -47,8 +39,6 @@ def results_dir() -> pathlib.Path:
     return RESULTS_DIR
 
 
-def publish(results_dir: pathlib.Path, name: str, text: str) -> None:
-    """Write a rendered figure and echo it."""
-    (results_dir / f"{name}.txt").write_text(text + "\n")
-    print()
-    print(text)
+def publish_figure(results_dir: pathlib.Path, name: str, data) -> None:
+    """Render ``data`` through the figure's registry entry and write it."""
+    publish(results_dir, name, figures.FIGURES[name].render(data))

@@ -223,16 +223,19 @@ class SequenceEmulator:
             return self._run_compiled(trace, context)
         return self._interpret(context, addr, [])
 
-    def _interpret(self, context, addr: int, emulated: list[int]) -> int:
+    def _interpret(self, context, addr: int, emulated: list[int],
+                   instr: Instruction | None = None) -> int:
         """The interpreted emulate-until-termination loop.  ``emulated``
         carries the prefix already executed by a compiled trace whose
-        recorded terminator turned out not to stop this time."""
+        recorded terminator turned out not to stop this time; ``instr``
+        is that terminator, already fetched (and charged) at ``addr``."""
         vm = self.vm
         terminator = ""
         reason = "single"
 
         while True:
-            instr = self._fetch(addr)
+            if instr is None:
+                instr = self._fetch(addr)
             if emulated:
                 stop, why = self._should_stop(instr, context)
                 if stop:
@@ -248,6 +251,7 @@ class SequenceEmulator:
                 break
             emulated.append(addr)
             addr += instr.size
+            instr = None
             if not vm.config.sequence_emulation:
                 nxt = vm.program.by_addr.get(addr)
                 terminator = nxt.mnemonic if nxt is not None else ""
@@ -282,8 +286,9 @@ class SequenceEmulator:
             self._finish(tuple(emulated), term.mnemonic, why)
             return trace.end
         # The recorded terminator doesn't stop under this data (its
-        # sources became boxed): continue interpreting past it.
-        return self._interpret(context, trace.end, emulated)
+        # sources became boxed): continue interpreting from it without
+        # probing the decode cache for it a second time.
+        return self._interpret(context, trace.end, emulated, term)
 
     def _finish(self, addrs: tuple[int, ...], terminator: str, reason: str) -> None:
         """Shared sequence epilogue: telemetry, statistics, and the

@@ -1,20 +1,26 @@
 """Per-figure data generators for every figure in the paper's §6 (plus
-the §2.3/§3/§5.2 cost microbenchmarks).
+the §2.3/§3/§5.2 cost microbenchmarks), and :data:`FIGURES`, the one
+registry that renders each of them.
 
-Each ``figureN`` function returns plain data structures; rendering to
-the paper-style ASCII lives in :mod:`repro.harness.report`.  A
-:class:`Suite` instance caches the 6-workload x 4-config run matrix so
-Figures 1/4/5/6 (and the MPFR 11/12/13) share executions.
+Each ``figureN`` function returns plain data structures; the ASCII
+renderers live in :mod:`repro.harness.report` and
+:mod:`repro.harness.charts`.  A :class:`Suite` instance caches the
+6-workload x 4-config run matrix so Figures 1/4/5/6 (and the MPFR
+11/12/13) share executions.  ``python -m repro figures``, the
+``benchmarks/bench_*`` scripts and the golden tests all produce
+``benchmarks/results/<name>.txt`` through :data:`FIGURES`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import pathlib
+from dataclasses import dataclass
+from typing import Any, Callable, NamedTuple
 
+from repro.harness import charts, report
 from repro.harness.configs import CONFIG_ORDER, named_configs
-from repro.harness.runner import Comparison, run_comparison, run_fpvm, run_native
-from repro.machine.costs import DEFAULT_COSTS, LEDGER_CATEGORIES
-from repro.workloads import WORKLOAD_NAMES
+from repro.harness.runner import Comparison, run_comparison, run_fpvm
+from repro.machine.costs import DEFAULT_COSTS
 
 #: figure order used in the paper's bar groups.
 FIGURE_WORKLOADS = ("double_pendulum", "enzo", "fbench", "ffbench", "lorenz", "three_body")
@@ -393,3 +399,96 @@ def profiler_vs_static(workloads=FIGURE_WORKLOADS) -> list[PatchSiteComparison]:
             PatchSiteComparison(w, len(static), len(dynamic), dynamic <= static)
         )
     return out
+
+
+# ------------------------------------------------------------ the registry
+#: MPFR runs the same workloads at reduced scale: BigFloat arithmetic
+#: is orders of magnitude slower to *simulate* (not just to model).
+MPFR_SCALES = {
+    "lorenz": 150,
+    "three_body": 16,
+    "double_pendulum": 24,
+    "fbench": 6,
+    "ffbench": 16,
+    "enzo": 16,
+}
+
+
+def make_suite(kind: str) -> Suite:
+    """The run matrix behind a registry ``suite`` key."""
+    if kind == "mpfr":
+        return Suite("mpfr", scale_overrides=MPFR_SCALES)
+    return Suite("boxed_ieee")
+
+
+class Figure(NamedTuple):
+    """One published figure.  ``benchmarks/results/<name>.txt`` holds
+    ``render(data)`` plus a newline, where ``data`` is
+    ``compute(suites[suite])`` for a suite-backed figure (``suite`` is
+    ``"boxed"`` or ``"mpfr"``) and ``compute()`` when ``suite`` is None."""
+
+    name: str
+    suite: str | None
+    compute: Callable[..., Any]
+    render: Callable[[Any], str]
+
+    def generate(self, suites: dict[str, Suite]) -> str:
+        data = self.compute(suites[self.suite]) if self.suite else self.compute()
+        return self.render(data)
+
+
+def trap_tables() -> tuple[TrapCostTable, list[TrapClassRow]]:
+    """The trap_microbench figure's two tables."""
+    return trap_microbenchmark(), trap_class_microbenchmark()
+
+
+_LOWER_BOUND = "vs native+altmath"
+
+#: every figure under ``benchmarks/results/``, in publication order.
+FIGURES: dict[str, Figure] = {f.name: f for f in (
+    Figure("trap_microbench", None, trap_tables, lambda d: report.render_trap_microbench(
+        *d, "Trap delegation microbenchmark (§2.3/§3)")),
+    Figure("trap_heatmap", None, trap_heatmap, lambda d: report.render_trap_flow(
+        d, "Trap heatmaps and NaN-flow graphs")),
+    Figure("fig01", "boxed", figure1, lambda d: report.render_breakdown(
+        d, "Figure 1: baseline cost breakdown (Boxed IEEE, NONE)")),
+    Figure("fig02", None, figure2, lambda d: report.render_delivery_paths(
+        d, "Figure 2: trap delivery path comparison")),
+    Figure("fig03", None, figure3, lambda d: report.render_magic_costs(
+        d, "Figure 3: magic traps vs int3 correctness traps")),
+    Figure("fig04", "boxed", figure4, lambda d: report.render_slowdown(
+        d, "Figure 4: application slowdown (Boxed IEEE)")),
+    Figure("fig05", "boxed", figure5, lambda d: report.render_slowdown(
+        d, "Figure 5: slowdown from lower bound (Boxed IEEE)", _LOWER_BOUND)),
+    Figure("fig06", "boxed", figure6, lambda d: report.render_breakdown_by_config(
+        d, "Figure 6: cost breakdown with accelerations (Boxed IEEE)")),
+    Figure("fig07", "boxed", figure7,
+           lambda d: "Figure 7: example instruction trace\n\n" + d),
+    Figure("fig08", "boxed", figure8, lambda d: report.render_cdf(
+        d, "Figure 8: sequence rank popularity CDF", "rank")),
+    Figure("fig09", "boxed", figure9, lambda d: report.render_length_cdf(
+        d, "Figure 9: sequence length CDF")),
+    Figure("fig10", "boxed", figure10, lambda d: report.render_cache_sizing(
+        d, "Figure 10: weighted rank popularity / trace cache sizing")),
+    Figure("fig11", "mpfr", figure4, lambda d: report.render_slowdown(
+        d, "Figure 11: application slowdown (MPFR, 200 bits)")),
+    Figure("fig12", "mpfr", figure5, lambda d: report.render_slowdown(
+        d, "Figure 12: slowdown from lower bound (MPFR)", _LOWER_BOUND)),
+    Figure("fig13", "mpfr", figure6, lambda d: report.render_breakdown_by_config(
+        d, "Figure 13: cost breakdown with accelerations (MPFR)")),
+    Figure("fig01_chart", "boxed", figure1, lambda d: charts.breakdown_chart(
+        d, "Figure 1 (stacked bars)")),
+    Figure("fig04_chart", "boxed", figure4, lambda d: charts.slowdown_chart(
+        d, "Figure 4 (bars, log scale)")),
+    Figure("fig06_chart", "boxed", figure6, lambda d: charts.breakdown_by_config_chart(
+        d, "Figure 6 (stacked bars)")),
+    Figure("profiler_vs_static", None, profiler_vs_static, lambda d: report.render_patch_sites(
+        d, "Patch sites: static analysis vs profiler (§5.1)")),
+)}
+
+
+def publish(out_dir, name: str, text: str) -> None:
+    """Write a rendered figure to ``<out_dir>/<name>.txt`` and echo it."""
+    (pathlib.Path(out_dir) / f"{name}.txt").write_text(text + "\n")
+    print(text)
+    print()

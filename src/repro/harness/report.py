@@ -178,8 +178,7 @@ def render_trap_class_costs(rows, title: str) -> str:
     return "\n".join(lines)
 
 
-def render_trap_microbench(table, rows,
-                           title: str = "Trap delegation microbenchmark (§2.3/§3)") -> str:
+def render_trap_microbench(table, rows, title: str) -> str:
     """The published trap_microbench figure: the headline delegation
     table followed by the per-class cost breakdown."""
     return (render_trap_costs(table, title) + "\n\n"
@@ -187,7 +186,7 @@ def render_trap_microbench(table, rows,
                 rows, "Per-class #XF dispatch cost (§2.3, Wittmann et al. note)"))
 
 
-def render_trap_flow(heatmap_data, title: str = "Trap heatmaps and NaN-flow graphs") -> str:
+def render_trap_flow(heatmap_data, title: str) -> str:
     """The trap_heatmap figure: per-RIP heatmap + NaN-flow graph for
     each trap-diverse workload, one section per workload."""
     lines = [title]
@@ -199,6 +198,20 @@ def render_trap_flow(heatmap_data, title: str = "Trap heatmaps and NaN-flow grap
         lines.append(render_flow_graph(
             recorder, program, title=f"NaN-flow graph: {_name(w)}"))
     return "\n".join(lines)
+
+
+def render_delivery_paths(table, title: str) -> str:
+    """Figure 2's quantitative content: the two delivery paths' kernel
+    plus return costs and the reduction between them."""
+    signal = table.signal_delivery + table.sigreturn
+    short = table.short_delivery + table.short_return
+    return "\n".join([
+        title,
+        "",
+        f"  regular signal delivery + return: {signal:7.0f} cycles",
+        f"  short-circuit delivery + return:  {short:7.0f} cycles",
+        f"  reduction: {table.delegation_reduction:.1f}x (paper: ~8x)",
+    ])
 
 
 def render_magic_costs(costs, title: str) -> str:

@@ -1,129 +1,63 @@
 """Golden-file tests for the figure pipeline.
 
-Each test regenerates a figure exactly the way ``python -m repro
-figures`` / the bench suite does and diffs it against the committed
-text under ``benchmarks/results/``.  The diff is tolerance-aware:
-numbers may drift within a small relative tolerance (cost-model
-tweaks legitimately move cycle counts a little), but the surrounding
-prose, table structure, and row order must match exactly — so a
-formatting regression or a renamed workload fails loudly while a
-0.1% cycle wiggle does not.
+Every entry of :data:`repro.harness.figures.FIGURES` is regenerated
+exactly as ``python -m repro figures`` and the bench suite produce it
+and compared byte for byte against its committed text under
+``benchmarks/results/``.  The cycle model is deterministic, so there is
+no tolerance: a moved cycle count is a behaviour change and must be
+explained, not absorbed.
 
-The microbenchmark-backed figures are fast and run in tier-1; the
-full-suite figures (a 6-workload × 4-config matrix each) are marked
+The figures without a run matrix are fast and run in tier-1; the
+suite-backed ones (a 6-workload x 4-config matrix each) are marked
 ``slow``.
 """
 
-import math
 import pathlib
-import re
 
 import pytest
 
-from repro.harness import figures, report
+from repro.harness import figures
 
 RESULTS = pathlib.Path(__file__).resolve().parents[2] / "benchmarks" / "results"
 
-_NUMBER = re.compile(r"-?\d+(?:\.\d+)?")
+#: tables the ablation and sensitivity bench scripts write inline; they
+#: are sweeps, not renders of a figure generator.
+BENCH_ONLY = {
+    "ablation_cache_size",
+    "ablation_fma",
+    "ablation_gc",
+    "ablation_lazy_save",
+    "ablation_move_support",
+    "ablation_seq_rules",
+    "ablation_unroll",
+    "corr_share",
+    "sensitivity_signal_cost",
+}
 
 
-def tolerant_diff(golden: str, fresh: str, rtol: float = 0.05) -> list[str]:
-    """Differences between two rendered figures, ignoring numeric drift
-    within ``rtol``.  Returns human-readable complaints (empty = match).
-    """
-    problems = []
-    g_lines = golden.strip().splitlines()
-    f_lines = fresh.strip().splitlines()
-    if len(g_lines) != len(f_lines):
-        problems.append(f"line count {len(f_lines)} != golden {len(g_lines)}")
-    for lineno, (g, f) in enumerate(zip(g_lines, f_lines), start=1):
-        if _NUMBER.sub("#", g) != _NUMBER.sub("#", f):
-            problems.append(f"line {lineno} text differs:\n  golden: {g}\n  fresh:  {f}")
-            continue
-        g_nums = [float(m) for m in _NUMBER.findall(g)]
-        f_nums = [float(m) for m in _NUMBER.findall(f)]
-        for gv, fv in zip(g_nums, f_nums):
-            if not math.isclose(gv, fv, rel_tol=rtol, abs_tol=0.5):
-                problems.append(
-                    f"line {lineno}: {fv} vs golden {gv} (>{rtol:.0%} drift)\n"
-                    f"  golden: {g}"
-                )
-    return problems
+def _marks(fig: figures.Figure) -> list:
+    marks = [pytest.mark.slow] if fig.suite else []
+    if fig.name == "trap_heatmap":
+        marks.append(pytest.mark.flow)
+    return marks
 
 
-def assert_matches_golden(name: str, fresh: str, rtol: float = 0.05) -> None:
-    golden = (RESULTS / f"{name}.txt").read_text()
-    problems = tolerant_diff(golden, fresh, rtol)
-    assert not problems, f"{name}.txt: " + "\n".join(problems)
-
-
-# ----------------------------------------------- fast (microbench-backed)
-def test_trap_microbench_matches_golden():
-    fresh = report.render_trap_microbench(
-        figures.trap_microbenchmark(), figures.trap_class_microbenchmark())
-    assert_matches_golden("trap_microbench", fresh)
-
-
-@pytest.mark.flow
-def test_trap_heatmap_matches_golden():
-    """The heatmap figure is count-exact (RIPs and trap tallies are
-    deterministic), so any drift means the flow seam moved."""
-    fresh = report.render_trap_flow(figures.trap_heatmap())
-    assert_matches_golden("trap_heatmap", fresh, rtol=0.0)
-
-
-def test_fig02_matches_golden():
-    table = figures.figure2()
-    fresh = "\n".join([
-        "Figure 2: trap delivery path comparison",
-        "",
-        f"  regular signal delivery + return: {table.signal_delivery + table.sigreturn:7.0f} cycles",
-        f"  short-circuit delivery + return:  {table.short_delivery + table.short_return:7.0f} cycles",
-        f"  reduction: {table.delegation_reduction:.1f}x (paper: ~8x)",
-    ])
-    assert_matches_golden("fig02", fresh)
-
-
-def test_fig03_matches_golden():
-    fresh = report.render_magic_costs(
-        figures.figure3(), "Figure 3: magic traps vs int3 correctness traps")
-    assert_matches_golden("fig03", fresh)
-
-
-# -------------------------------------------------- slow (full suites)
 @pytest.fixture(scope="module")
-def boxed_suite():
-    return figures.Suite("boxed_ieee")
+def suites():
+    return {kind: figures.make_suite(kind) for kind in ("boxed", "mpfr")}
 
 
-@pytest.mark.slow
-def test_fig01_matches_golden(boxed_suite):
-    fresh = report.render_breakdown(
-        figures.figure1(boxed_suite),
-        "Figure 1: baseline cost breakdown (Boxed IEEE, NONE)")
-    assert_matches_golden("fig01", fresh)
+@pytest.mark.parametrize("fig", [
+    pytest.param(fig, id=fig.name, marks=_marks(fig))
+    for fig in figures.FIGURES.values()
+])
+def test_matches_golden(fig, suites):
+    golden = (RESULTS / f"{fig.name}.txt").read_text()
+    assert fig.generate(suites) + "\n" == golden
 
 
-@pytest.mark.slow
-def test_fig04_matches_golden(boxed_suite):
-    fresh = report.render_slowdown(
-        figures.figure4(boxed_suite),
-        "Figure 4: application slowdown (Boxed IEEE)")
-    assert_matches_golden("fig04", fresh)
-
-
-@pytest.mark.slow
-def test_fig05_matches_golden(boxed_suite):
-    fresh = report.render_slowdown(
-        figures.figure5(boxed_suite),
-        "Figure 5: slowdown from lower bound (Boxed IEEE)",
-        "vs native+altmath")
-    assert_matches_golden("fig05", fresh)
-
-
-@pytest.mark.slow
-def test_fig06_matches_golden(boxed_suite):
-    fresh = report.render_breakdown_by_config(
-        figures.figure6(boxed_suite),
-        "Figure 6: cost breakdown with accelerations (Boxed IEEE)")
-    assert_matches_golden("fig06", fresh)
+def test_every_golden_has_a_registry_entry():
+    """No golden is orphaned and no registered figure lacks a golden."""
+    on_disk = {p.stem for p in RESULTS.glob("*.txt")}
+    assert set(figures.FIGURES) | BENCH_ONLY == on_disk
+    assert not set(figures.FIGURES) & BENCH_ONLY

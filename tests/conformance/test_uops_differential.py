@@ -10,6 +10,7 @@ from repro.conformance.generators import fuzz_program
 from repro.core.vm import FPVMConfig
 from repro.kernel.kernel import LinuxKernel
 from repro.machine.cpu import CPU
+from repro.workloads import build_program
 
 SEEDS = [0, 1, 3, 5, 9, 11, 17, 23, 31, 47]
 
@@ -52,23 +53,29 @@ def _cell_fingerprint(run: oracle.CellRun):
     }
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-def test_attached_differential(seed):
+#: a real workload whose compiled traces fall through their recorded
+#: terminator (its sources turn boxed), under the default threshold.
+ENZO_CELLS = ["enzo16-seq", "enzo16-seq_short"]
+
+
+@pytest.mark.parametrize("case", SEEDS + ENZO_CELLS)
+def test_attached_differential(case):
     """Full FPVM attach: the uop pipeline *and* the compiled-trace tier
-    (forced hot with a low threshold) against the seed interpreter."""
-    base = oracle.run_cell(
-        fuzz_program(seed),
-        FPVMConfig.seq_short(uops=False),
-        "interp",
-    )
-    fast = oracle.run_cell(
-        fuzz_program(seed),
-        FPVMConfig.seq_short(uops=True, trace_compile_threshold=2),
-        "uops",
-    )
+    against the seed interpreter.  Fuzz seeds force traces hot with a
+    low threshold; the enzo cells run at the default threshold."""
+    if isinstance(case, int):
+        make_program = lambda: fuzz_program(case)
+        preset, fast_cfg = FPVMConfig.seq_short, dict(trace_compile_threshold=2)
+    else:
+        make_program = lambda: build_program("enzo", scale=16)
+        preset, fast_cfg = getattr(FPVMConfig, case.split("-")[1]), {}
+    base = oracle.run_cell(make_program(), preset(uops=False), "interp")
+    fast = oracle.run_cell(make_program(), preset(uops=True, **fast_cfg), "uops")
     assert base.invariant_failures == []
     assert fast.invariant_failures == []
     assert _cell_fingerprint(base) == _cell_fingerprint(fast)
+    if case in ENZO_CELLS:
+        assert fast.telemetry.compiled_trace_hits > 0
 
 
 def test_compiled_tier_exercised_somewhere():

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.__main__ import build_parser, main
+from repro.harness import figures as F
 
 
 class TestParser:
@@ -60,12 +61,18 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "terminator" in out
 
-    def test_figures_writes_files(self, tmp_path, capsys):
-        # The figure suite at full scale is a benchmark; here only check
-        # the plumbing with the cheap microbench by monkeypatching scale
-        # would be invasive — run the real thing is too slow for a unit
-        # test, so only verify the parser wiring.
-        args = build_parser().parse_args(
-            ["figures", "--skip-mpfr", "--out", str(tmp_path)]
-        )
-        assert args.skip_mpfr and args.out == str(tmp_path)
+    def test_figures_writes_files(self, tmp_path, capsys, monkeypatch):
+        # The real registry at full scale is a benchmark (and the golden
+        # tests cover its contents); here a two-entry stand-in checks the
+        # command's loop: every entry written, MPFR skipped on request.
+        fake = {
+            "one": F.Figure("one", None, lambda: 7, lambda d: f"One\n\n  {d}"),
+            "big": F.Figure("big", "mpfr", lambda s: s.altmath, str),
+        }
+        monkeypatch.setattr(F, "FIGURES", fake)
+        assert main(["figures", "--skip-mpfr", "--out", str(tmp_path)]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["one.txt"]
+        assert (tmp_path / "one.txt").read_text() == "One\n\n  7\n"
+        assert main(["figures", "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "big.txt").read_text() == "mpfr\n"
+        assert "all figures regenerated in" in capsys.readouterr().out
