@@ -13,6 +13,7 @@ from __future__ import annotations
 from repro.altmath.base import AltMathCosts, AltMathSystem, register_altmath
 from repro.fpu import bits as B
 from repro.machine import hostfp
+from repro.machine.uops import FAST_SCALAR
 
 _INDEFINITE = 0x8000_0000_0000_0000
 
@@ -49,12 +50,14 @@ class BoxedIEEE(AltMathSystem):
     def to_i64(self, value, truncate: bool = True) -> int:
         return hostfp.native_fp("cvttsd2si" if truncate else "cvtsd2si", value)
 
+    # The bit-exact scalar fast paths the CPU's micro-ops use; they
+    # defer NaN operands and division by zero to ``hostfp.native_fp``.
     def binary(self, op: str, a, b):
-        return hostfp.native_fp(op, a, b)
+        return FAST_SCALAR[op](a, b)
 
     def unary(self, op: str, a):
         if op == "sqrt":
-            return hostfp.native_fp("sqrt", a)
+            return FAST_SCALAR["sqrt"](a)
         if op == "neg":
             return a ^ B.F64_SIGN_MASK
         if op == "abs":

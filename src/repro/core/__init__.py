@@ -6,9 +6,9 @@ Composition, bottom-up:
 - :mod:`repro.core.nanbox` / :mod:`repro.core.alloc` — NaN-boxed value
   representation, the allocator, and the conservative mark-and-sweep GC
   (§2.2, §2.5);
-- :mod:`repro.core.decode_cache` / :mod:`repro.core.binding` /
-  :mod:`repro.core.emulator` — decode/bind/emulate, the per-trap
-  pipeline (§2.4);
+- :mod:`repro.core.decode_cache` / :mod:`repro.core.emulator` —
+  decode/bind/emulate, the per-trap pipeline (§2.4); each instruction
+  is bound once per VM into a closure the emulator reruns;
 - :mod:`repro.core.sequences` — instruction sequence emulation and the
   trace statistics used for §6.3;
 - :mod:`repro.core.analysis` / :mod:`repro.core.profiler` — the static

@@ -1,7 +1,7 @@
 """The instruction emulator (§2.4).
 
-Emulates one decoded+bound instruction against the alternative
-arithmetic system:
+Emulates one decoded instruction against the alternative arithmetic
+system:
 
 - FP arithmetic promotes (or unboxes) sources, computes in altmath,
   and NaN-boxes the result;
@@ -10,6 +10,15 @@ arithmetic system:
 - supported moves (the ~40-opcode subset of §4.2) shuttle raw bit
   patterns — boxed values travel as bits;
 - everything else is unsupported and terminates emulation sequences.
+
+Binding is once per op: :func:`bind` turns a lowered
+:class:`~repro.machine.uops.MicroOp` into a :class:`BoundOp` — a shared
+per-kind runner plus the arguments binding resolved (operand
+addressing, lane count, altmath op, static ``bind``/``emul`` charge) —
+that reads and writes machine state through the trap-time ucontext it
+is handed.  Each VM keeps its bound ops in one table keyed by address,
+so a trap re-binds nothing it has seen before; the ledger is still
+charged the modelled bind cost on every emulation.
 
 The default supported-move set deliberately excludes ``movhpd`` /
 ``movlpd`` (partial vector moves), reproducing the Figure 7 sequence
@@ -20,15 +29,20 @@ terminator, and excludes ``andpd``/``orpd`` masks while *supporting*
 
 from __future__ import annotations
 
+from functools import partial
+
 from repro.core import nanbox
-from repro.core.binding import Binding, bind
 from repro.fpu import bits as B
 from repro.fpu.ieee import UCOMI_EQUAL, UCOMI_GREATER, UCOMI_LESS, UCOMI_UNORDERED
-from repro.machine.isa import Instruction, OpClass
-from repro.machine.uops import CMP_PREDS, CMP_TABLES, MicroOp, lower
+from repro.machine.isa import GPR_IDS, Imm, Instruction, Label, Mem, Reg, Xmm
+from repro.machine.uops import CMP_TABLES, MicroOp
 
 U64 = 0xFFFF_FFFF_FFFF_FFFF
-RSP = 7
+RSP = GPR_IDS["rsp"]
+_SIGN = B.F64_SIGN_MASK
+_BOX_MASK = nanbox._PATTERN_MASK
+_BOX = nanbox._PATTERN
+_PTR = nanbox.NANBOX_PTR_MASK
 
 #: Instructions the emulator can decode, bind and emulate (§4.2's
 #: "about 40 move opcodes" plus the arithmetic core and cmpxx family).
@@ -54,125 +68,458 @@ DEFAULT_SUPPORTED = frozenset(
     }
 )
 
-# cmp mnemonic/predicate tables live with the micro-op IR so the CPU's
-# fast closures and the emulator share one definition.
-_CMP_PREDS = CMP_PREDS
-_CMP_TABLES = CMP_TABLES
+
+class BoundOp:
+    """One micro-op bound for one VM: a closure by hand.
+
+    ``runner(em, context, args)`` is the shared module-level runner of
+    the op's emulation kind; ``args`` holds what binding resolved — the
+    operand accessors, lane count, altmath op and its cycle cost — so a
+    bound op is two small objects, with no function object or closure
+    cells of its own.  The first ``probes`` accessors in ``args`` are
+    the FP sources termination rule (2) probes, over ``probe_lanes``
+    lanes (0 for ops it never probes: non-FP ops and ``cvtsi2sd``).
+    ``bind_cycles`` and ``emul_cycles`` are its static ledger charge.
+    """
+
+    __slots__ = ("uop", "runner", "args", "probes", "probe_lanes",
+                 "bind_cycles", "emul_cycles")
+
+    def __init__(self, uop, runner, args, probes, probe_lanes, bind_cycles,
+                 emul_cycles) -> None:
+        self.uop = uop
+        self.runner = runner
+        self.args = args
+        self.probes = probes
+        self.probe_lanes = probe_lanes
+        self.bind_cycles = bind_cycles
+        self.emul_cycles = emul_cycles
+
+
+# ------------------------------------------------------ operand access
+# Accessors are ``read(ctx, lane)`` / ``write(ctx, value, lane)``.
+# Registers ignore ``lane`` except XMM; memory lane ``k`` lives at
+# ``ea + 8k`` and is accessed with the operand's declared size.  The
+# register accessors are shared tables; memory ones belong to a
+# :class:`_MemOperand` bound per op.
+
+class _MemOperand:
+    """A memory operand with its addressing pre-resolved; ``read`` and
+    ``write`` are its accessors.  The effective address is computed
+    from the context's registers at run time."""
+
+    __slots__ = ("bid", "iid", "scale", "disp", "size", "fp")
+
+    def __init__(self, m: Mem, fp: bool = False) -> None:
+        self.bid = GPR_IDS[m.base] if m.base is not None else None
+        self.iid = GPR_IDS[m.index] if m.index is not None else None
+        self.scale, self.disp, self.size, self.fp = m.scale, m.disp, m.size, fp
+
+    def ea(self, ctx) -> int:
+        ea = self.disp
+        if self.bid is not None:
+            ea += ctx.read_gpr(self.bid)
+        if self.iid is not None:
+            ea += ctx.read_gpr(self.iid) * self.scale
+        return ea & U64
+
+    def read(self, ctx, lane):
+        return ctx.memory.observed_load(self.ea(ctx) + 8 * lane, self.size, self.fp)
+
+    def write(self, ctx, value, lane):
+        ctx.memory.observed_store(self.ea(ctx) + 8 * lane, value, self.size, self.fp)
+
+
+def _read_xmm(xid, ctx, lane):
+    return ctx.read_xmm(xid, lane)
+
+
+def _write_xmm(xid, ctx, value, lane):
+    ctx.write_xmm(xid, value, lane)
+
+
+def _read_gpr(rid, ctx, lane):
+    return ctx.read_gpr(rid)
+
+
+def _write_gpr(rid, ctx, value, lane):
+    ctx.write_gpr(rid, value)
+
+
+def _read_const(value, ctx, lane):
+    return value
+
+
+def _cannot_write(ctx, value, lane):
+    raise ValueError("cannot write an immediate operand")
+
+
+#: lane iterators for one- and two-lane ops, shared by every bound op.
+_LANES = (range(0), range(1), range(2))
+_XMM_READ = tuple(partial(_read_xmm, i) for i in range(16))
+_XMM_WRITE = tuple(partial(_write_xmm, i) for i in range(16))
+_GPR_READ = tuple(partial(_read_gpr, i) for i in range(16))
+_GPR_WRITE = tuple(partial(_write_gpr, i) for i in range(16))
+
+
+def _reader(op, fp: bool):
+    if isinstance(op, Xmm):
+        return _XMM_READ[op.id]
+    if isinstance(op, Mem):
+        return _MemOperand(op, fp).read
+    if isinstance(op, Reg):
+        return _GPR_READ[op.id]
+    if isinstance(op, Imm):
+        return partial(_read_const, op.value & U64)
+    if isinstance(op, Label):
+        return partial(_read_const, (op.addr or 0) & U64)
+    raise TypeError(f"unbindable operand {op!r}")
+
+
+def _writer(op, fp: bool):
+    if isinstance(op, Xmm):
+        return _XMM_WRITE[op.id]
+    if isinstance(op, Mem):
+        return _MemOperand(op, fp).write
+    if isinstance(op, Reg):
+        return _GPR_WRITE[op.id]
+    return _cannot_write
+
+
+# ------------------------------------------------------------ runners
+# ``_run_<kind>(em, ctx, args)``; :func:`_runner` picks one and its
+# bound arguments per op.  Reads, writes, charges and box allocations
+# happen in the seed emulator's order: allocation order fixes box
+# addresses, and an emergency collection scans whatever the registers
+# hold at that moment.
+
+def _run_bin(em, ctx, args):
+    ra, rb, wd, base, lanes, cost = args
+    resolve, alt = em.resolve, em.altmath
+    for lane in lanes:
+        a = resolve(ra(ctx, lane))
+        b = resolve(rb(ctx, lane))
+        em.ledger.charge("altmath", cost)
+        em.telemetry.altmath_ops[base] += 1
+        wd(ctx, em.produce(alt.binary(base, a, b), ctx), lane)
+
+
+def _run_sqrt(em, ctx, args):
+    rs, wd, lanes, cost = args
+    for lane in lanes:
+        em.ledger.charge("altmath", cost)
+        value = em.resolve(rs(ctx, lane))
+        wd(ctx, em.produce(em.altmath.unary("sqrt", value), ctx), lane)
+
+
+def _run_fma(em, ctx, args):
+    r0, r1, r2, wd, cost = args
+    # dst = src2 * dst + src3 (the 213 operand order).
+    resolve = em.resolve
+    mul2 = resolve(r1(ctx, 0))
+    mul1 = resolve(r0(ctx, 0))
+    addend = resolve(r2(ctx, 0))
+    em.ledger.charge("altmath", cost)
+    em.telemetry.altmath_ops["fma"] += 1
+    wd(ctx, em.produce(em.altmath.fma(mul2, mul1, addend), ctx), 0)
+
+
+def _compare(em, ctx, ra, rb, cost):
+    a = em.resolve(ra(ctx, 0))
+    b = em.resolve(rb(ctx, 0))
+    em.ledger.charge("altmath", cost)
+    return em.altmath.compare(a, b)
+
+
+def _run_cmp(em, ctx, args):
+    ra, rb, wd, if_unord, pred, cost = args
+    c = _compare(em, ctx, ra, rb, cost)
+    hit = if_unord if c is None else pred(c)
+    wd(ctx, U64 if hit else 0, 0)
+
+
+def _run_ucomi(em, ctx, args):
+    ra, rb, cost = args
+    c = _compare(em, ctx, ra, rb, cost)
+    packed = (
+        UCOMI_UNORDERED if c is None
+        else UCOMI_EQUAL if c == 0
+        else UCOMI_LESS if c < 0
+        else UCOMI_GREATER
+    )
+    flags = ctx.flags
+    flags.zf = bool(packed & 1)
+    flags.pf = bool(packed & 2)
+    flags.cf = bool(packed & 4)
+    flags.sf = False
+    flags.of = False
+
+
+def _run_cvtsi2sd(em, ctx, args):
+    rs, wd, cost = args
+    em.ledger.charge("altmath", cost)
+    wd(ctx, em.produce(em.altmath.from_i64(rs(ctx, 0)), ctx), 0)
+
+
+def _run_cvt2si(em, ctx, args):
+    rs, wd, truncate, cost = args
+    em.ledger.charge("altmath", cost)
+    value = em.resolve(rs(ctx, 0))
+    wd(ctx, em.altmath.to_i64(value, truncate=truncate), 0)
+
+
+def _run_xorpd(em, ctx, args):
+    ra, rb, wd = args
+    for lane in (0, 1):
+        a = ra(ctx, lane)
+        b = rb(ctx, lane)
+        # Raw xor: correct for plain doubles, and correct for boxed
+        # values when the mask only touches the sign bit (the compiler
+        # idiom) thanks to the negation convention.
+        if (a & _BOX_MASK) == _BOX and (b & ~_SIGN):
+            # A non-sign mask over a boxed value: demote first.
+            a = em.demote_bits(a)
+        if (b & _BOX_MASK) == _BOX and (a & ~_SIGN) and (a & _BOX_MASK) != _BOX:
+            b = em.demote_bits(b)
+        wd(ctx, (a ^ b) & U64, lane)
+
+
+def _run_move(em, ctx, args):
+    rs, wd, src_lane, dst_lane = args
+    wd(ctx, rs(ctx, src_lane), dst_lane)
+
+
+def _run_move_zero_high(em, ctx, args):
+    rs, wd = args
+    wd(ctx, rs(ctx, 0), 0)
+    wd(ctx, 0, 1)
+
+
+def _run_move128(em, ctx, args):
+    rs, wd = args
+    lo = rs(ctx, 0)
+    hi = rs(ctx, 1)
+    wd(ctx, lo, 0)
+    wd(ctx, hi, 1)
+
+
+def _run_push(em, ctx, args):
+    rs, = args
+    rsp = (ctx.read_gpr(RSP) - 8) & U64
+    ctx.write_gpr(RSP, rsp)
+    ctx.memory.write_u64(rsp, rs(ctx, 0))
+
+
+def _run_push_mem(em, ctx, args):
+    src, = args
+    addr = src.ea(ctx)  # taken before RSP moves
+    rsp = (ctx.read_gpr(RSP) - 8) & U64
+    ctx.write_gpr(RSP, rsp)
+    mem = ctx.memory
+    mem.write_u64(rsp, mem.observed_load(addr, src.size, False))
+
+
+def _run_pop(em, ctx, args):
+    wd, = args
+    rsp = ctx.read_gpr(RSP)
+    wd(ctx, ctx.memory.read_u64(rsp), 0)
+    ctx.write_gpr(RSP, (rsp + 8) & U64)
+
+
+def _run_lea(em, ctx, args):
+    src, wd = args
+    wd(ctx, src.ea(ctx) if src is not None else 0, 0)
+
+
+def _runner(uop, ops, alt_costs) -> tuple:
+    """The runner for ``uop``'s emulation kind and its bound arguments."""
+    kind, mn = uop.emu_kind, uop.mnemonic
+    if uop.fp_trap_capable:
+        src = _reader(ops[1], kind != "cvtsi2sd")
+        if kind == "bin":
+            return _run_bin, (_reader(ops[0], True), src, _writer(ops[0], True),
+                              uop.ieee, _LANES[uop.lanes], alt_costs.op(uop.ieee))
+        if kind == "sqrt":
+            return _run_sqrt, (src, _writer(ops[0], True), _LANES[uop.emu_arg],
+                               alt_costs.op("sqrt"))
+        if kind == "fma":
+            return _run_fma, (_reader(ops[0], True), src, _reader(ops[2], True),
+                              _writer(ops[0], True), alt_costs.op("fma"))
+        if kind == "cmp":
+            if_unord, pred = CMP_TABLES[uop.emu_arg]
+            return _run_cmp, (_reader(ops[0], True), src, _writer(ops[0], True),
+                              if_unord, pred, alt_costs.compare)
+        if kind == "ucomi":
+            return _run_ucomi, (_reader(ops[0], True), src, alt_costs.compare)
+        if kind == "cvtsi2sd":
+            return _run_cvtsi2sd, (src, _writer(ops[0], True), alt_costs.convert)
+        return _run_cvt2si, (src, _writer(ops[0], False), uop.emu_arg,
+                             alt_costs.convert)
+    if kind == "xorpd":
+        return _run_xorpd, (_reader(ops[0], True), _reader(ops[1], True),
+                            _writer(ops[0], True))
+    if kind == "fpmov":
+        dst, src = ops
+        rs, wd = _reader(src, True), _writer(dst, True)
+        if mn in ("movapd", "movupd"):
+            return _run_move128, (rs, wd)
+        if mn == "movhpd":
+            # xmm <- mem fills the high lane; mem <- xmm stores it.
+            return _run_move, (rs, wd) + ((0, 1) if isinstance(dst, Xmm) else (1, 0))
+        if mn not in ("movsd", "movq", "movlpd"):
+            raise KeyError(mn)
+        # movsd from memory and movq into an XMM register zero the high lane.
+        if isinstance(dst, Xmm) and (mn == "movq" or (mn == "movsd" and not isinstance(src, Xmm))):
+            return _run_move_zero_high, (rs, wd)
+        return _run_move, (rs, wd, 0, 0)
+    if kind == "intmov":
+        if mn == "push":
+            if isinstance(ops[0], Mem):
+                return _run_push_mem, (_MemOperand(ops[0]),)
+            return _run_push, (_reader(ops[0], False),)
+        wd = _writer(ops[0], False)
+        if mn == "pop":
+            return _run_pop, (wd,)
+        if mn == "lea":
+            src = _MemOperand(ops[1]) if isinstance(ops[1], Mem) else None
+            return _run_lea, (src, wd)
+        if mn == "mov":
+            return _run_move, (_reader(ops[1], False), wd, 0, 0)
+    raise KeyError(mn)
+
+
+def _probes(uop) -> tuple[int, int]:
+    """How many leading accessors of the op's ``args`` termination rule
+    (2) probes, and over how many lanes — the seed's order: lane-major,
+    operands in order."""
+    kind = uop.emu_kind
+    if not uop.fp_trap_capable or kind == "cvtsi2sd":
+        return 0, 0
+    if kind == "fma":
+        return 3, 1
+    if kind == "sqrt":
+        return 1, uop.emu_arg
+    if kind == "cvt2si":
+        return 1, 1
+    return 2, uop.lanes
+
+
+def bind(uop: MicroOp, vm) -> BoundOp:
+    """Bind ``uop`` for ``vm``: resolve everything static about emulating
+    it, once.  The ``bind`` ledger charge stays per operand, as the
+    modelled pipeline pays it on every emulation."""
+    ops = uop.operands
+    runner, args = _runner(uop, ops, vm.altmath.costs)
+    costs = vm.costs
+    return BoundOp(uop, runner, args, *_probes(uop),
+                   costs.bind_per_operand * max(len(ops), 1),
+                   costs.emul_dispatch)
 
 
 class Emulator:
-    """Stateless per-VM emulator; all state lives in the VM (allocator,
+    """Per-VM emulator: the table of bound ops plus the value-flow
+    helpers they share; all other state lives in the VM (allocator,
     altmath, ledger, telemetry)."""
 
     def __init__(self, vm) -> None:
         self.vm = vm
         self.supported_set = set(vm.config.supported_instructions)
+        self.ledger = vm.ledger
+        self.telemetry = vm.telemetry
+        self.altmath = vm.altmath
+        self.allocator = vm.allocator
+        #: address -> the op bound for the micro-op decoded there.
+        self._ops: dict[int, BoundOp] = {}
 
     # ----------------------------------------------------------- queries
     def supported(self, instr: Instruction) -> bool:
         return instr.mnemonic in self.supported_set
 
-    def any_source_boxed(self, instr: Instruction, context) -> bool:
+    def bound_at(self, addr: int) -> BoundOp | None:
+        """The op bound for ``addr`` (None before its first use)."""
+        return self._ops.get(addr)
+
+    def _bind(self, uop: MicroOp) -> BoundOp | None:
+        """The op for ``uop`` when the table has none for it: bind it on
+        first use (a re-decoded instruction — a new MicroOp at a known
+        address — is bound afresh); None when it is unsupported."""
+        if uop.mnemonic not in self.supported_set:
+            return None
+        op = self._ops[uop.addr] = bind(uop, self.vm)
+        return op
+
+    def any_source_boxed(self, uop: MicroOp, context) -> bool:
         """Termination rule (2) probe: does any FP source operand hold a
         NaN-boxed value owned by our allocator?"""
-        alloc = self.vm.allocator
-        for bits in self._fp_source_bits(instr, context):
-            if nanbox.is_boxed(bits) and alloc.owns(bits & nanbox.NANBOX_PTR_MASK):
-                return True
+        op = self._ops.get(uop.addr)
+        if op is None or op.uop is not uop:
+            op = self._bind(uop)
+            if op is None:
+                return False
+        if op.probes:
+            owns = self.allocator.owns
+            sources = op.args[:op.probes]
+            for lane in range(op.probe_lanes):
+                for read in sources:
+                    bits = read(context, lane)
+                    if (bits & _BOX_MASK) == _BOX and owns(bits & _PTR):
+                        return True
         return False
 
-    def _fp_source_bits(self, instr: Instruction, context):
-        mn = instr.mnemonic
-        info = instr.info
-        if info.opclass not in (OpClass.FP_ARITH, OpClass.FP_CVT):
-            return
-        binding = bind(instr, context)
-        ops = binding.operands
-        if mn == "vfmadd213sd":
-            yield ops[0].read64(context, 0, fp=True)
-            yield ops[1].read64(context, 0, fp=True)
-            yield ops[2].read64(context, 0, fp=True)
-            return
-        if mn == "cvtsi2sd":
-            return  # integer source; never boxed
-        if mn in ("cvttsd2si", "cvtsd2si", "sqrtsd"):
-            yield ops[1].read64(context, 0, fp=True)
-            return
-        if mn == "sqrtpd":
-            yield ops[1].read64(context, 0, fp=True)
-            yield ops[1].read64(context, 1, fp=True)
-            return
-        lanes = info.lanes
-        for lane in range(lanes):
-            yield ops[0].read64(context, lane, fp=True)
-            yield ops[1].read64(context, lane, fp=True)
-
     # --------------------------------------------------------- emulation
-    def emulate(self, instr: Instruction | MicroOp, context) -> bool:
+    def emulate(self, uop: MicroOp, context) -> bool:
         """Emulate one instruction; returns False if unsupported.
         Charges bind/emul/altmath and advances nothing — the caller
-        owns RIP.
-
-        Accepts a raw :class:`Instruction` or a lowered
-        :class:`MicroOp`; raw instructions are lowered (cached on the
-        instruction) so the dispatch decision is resolved once.
-        """
-        uop = instr if isinstance(instr, MicroOp) else lower(instr)
-        if uop.mnemonic not in self.supported_set:
-            return False
-        vm = self.vm
-        binding = bind(uop, context)
-        vm.charge("bind", vm.costs.bind_per_operand * binding.cost_units)
-        vm.charge("emul", vm.costs.emul_dispatch)
-
-        flow = vm.flow
-        if flow is not None:
-            flow.begin_op(uop.addr)
-        kind = uop.emu_kind
-        if uop.fp_trap_capable:
-            self._emulate_fp(kind, uop, binding, context)
-        elif kind == "xorpd":
-            self._emulate_xorpd(binding, context)
-        elif kind == "fpmov":
-            self._emulate_fp_move(uop.mnemonic, binding, context)
+        owns RIP."""
+        op = self._ops.get(uop.addr)
+        if op is None or op.uop is not uop:
+            op = self._bind(uop)
+            if op is None:
+                return False
+        ledger = self.ledger
+        ledger.charge("bind", op.bind_cycles)
+        ledger.charge("emul", op.emul_cycles)
+        flow = self.vm.flow
+        if flow is None:
+            op.runner(self, context, op.args)
         else:
-            self._emulate_int_move(uop.mnemonic, binding, context)
-        if flow is not None:
+            flow.begin_op(op.uop.addr)
+            op.runner(self, context, op.args)
             flow.end_op()
-        vm.telemetry.emulated_instructions += 1
-        vm.ledger.count("emulated_instructions")
+        self.telemetry.emulated_instructions += 1
+        ledger.counters["emulated_instructions"] += 1
         return True
 
     # ------------------------------------------------------- value flow
-    def _resolve(self, bits: int):
+    def resolve(self, bits: int):
         """Bits -> alt value (unbox ours, promote everything else)."""
         vm = self.vm
-        if nanbox.is_boxed(bits):
-            ptr, negated = nanbox.unbox(bits)
-            if vm.allocator.owns(ptr):
+        if (bits & _BOX_MASK) == _BOX:
+            ptr = bits & _PTR
+            if self.allocator.owns(ptr):
                 if vm.flow is not None:
                     vm.flow.note_source(ptr)
-                vm.charge("altmath", vm.altmath.costs.load)
-                value = vm.allocator.load(ptr)
-                if negated:
+                self.ledger.charge("altmath", self.altmath.costs.load)
+                value = self.allocator.load(ptr)
+                if bits & _SIGN:
                     vm.charge_alt("neg")
-                    value = vm.altmath.unary("neg", value)
+                    value = self.altmath.unary("neg", value)
                 return value
-        vm.charge("altmath", vm.altmath.costs.promote)
-        vm.telemetry.promotions += 1
-        return vm.altmath.promote(bits)
+        self.ledger.charge("altmath", self.altmath.costs.promote)
+        self.telemetry.promotions += 1
+        return self.altmath.promote(bits)
 
-    def _produce(self, value, context=None) -> int:
+    def produce(self, value, context=None) -> int:
         """Alt value -> bits: canonical NaN for real NaNs, else a fresh
         box (``context`` provides GC roots for emergency collection)."""
         vm = self.vm
-        if vm.altmath.is_nan_value(value):
+        if self.altmath.is_nan_value(value):
             if vm.flow is not None:
                 vm.flow.note_clamp()
             return B.CANONICAL_QNAN
-        vm.charge("altmath", vm.altmath.costs.box)
+        self.ledger.charge("altmath", self.altmath.costs.box)
         ptr = vm.alloc_box(value, context)
-        vm.telemetry.boxes_allocated += 1
+        self.telemetry.boxes_allocated += 1
         if vm.flow is not None:
             vm.flow.note_birth(ptr)
         return nanbox.box_bits(ptr)
@@ -193,141 +540,3 @@ class Emulator:
                     out ^= B.F64_SIGN_MASK
                 return out
         return bits
-
-    # ------------------------------------------------------ FP semantics
-    def _emulate_fp(self, kind: str, uop, binding: Binding, context):
-        """Dispatch on the micro-op's pre-resolved emulation kind (the
-        lowering pass already classified the mnemonic)."""
-        vm = self.vm
-        ops = binding.operands
-        if kind == "cvtsi2sd":
-            vm.charge_alt_convert()
-            value = vm.altmath.from_i64(ops[1].read64(context, 0, fp=False))
-            ops[0].write64(context, self._produce(value, context), 0, fp=True)
-            return
-        if kind == "cvt2si":
-            vm.charge_alt_convert()
-            value = self._resolve(ops[1].read64(context, 0, fp=True))
-            out = vm.altmath.to_i64(value, truncate=uop.emu_arg)
-            ops[0].write64(context, out, 0, fp=False)
-            return
-        if kind == "ucomi":
-            a = self._resolve(ops[0].read64(context, 0, fp=True))
-            b = self._resolve(ops[1].read64(context, 0, fp=True))
-            vm.charge("altmath", vm.altmath.costs.compare)
-            c = vm.altmath.compare(a, b)
-            packed = (
-                UCOMI_UNORDERED if c is None
-                else UCOMI_EQUAL if c == 0
-                else UCOMI_LESS if c < 0
-                else UCOMI_GREATER
-            )
-            flags = context.flags
-            flags.zf = bool(packed & 1)
-            flags.pf = bool(packed & 2)
-            flags.cf = bool(packed & 4)
-            flags.sf = False
-            flags.of = False
-            return
-        if kind == "cmp":
-            a = self._resolve(ops[0].read64(context, 0, fp=True))
-            b = self._resolve(ops[1].read64(context, 0, fp=True))
-            vm.charge("altmath", vm.altmath.costs.compare)
-            c = vm.altmath.compare(a, b)
-            if_unord, fn = _CMP_TABLES[uop.emu_arg]
-            hit = if_unord if c is None else fn(c)
-            ops[0].write64(context, U64 if hit else 0, 0, fp=True)
-            return
-        if kind == "fma":
-            # dst = src2 * dst + src3 (the 213 operand order).
-            mul2 = self._resolve(ops[1].read64(context, 0, fp=True))
-            mul1 = self._resolve(ops[0].read64(context, 0, fp=True))
-            addend = self._resolve(ops[2].read64(context, 0, fp=True))
-            vm.charge_alt("fma")
-            vm.telemetry.altmath_ops["fma"] += 1
-            result = vm.altmath.fma(mul2, mul1, addend)
-            ops[0].write64(context, self._produce(result, context), 0, fp=True)
-            return
-        if kind == "sqrt":
-            for lane in range(uop.emu_arg):
-                vm.charge_alt("sqrt")
-                value = self._resolve(ops[1].read64(context, lane, fp=True))
-                ops[0].write64(context,
-                               self._produce(vm.altmath.unary("sqrt", value), context),
-                               lane, fp=True)
-            return
-        # Binary arithmetic: addsd/addpd families.
-        base = uop.ieee
-        for lane in range(uop.lanes):
-            a = self._resolve(ops[0].read64(context, lane, fp=True))
-            b = self._resolve(ops[1].read64(context, lane, fp=True))
-            vm.charge_alt(base)
-            vm.telemetry.altmath_ops[base] += 1
-            result = vm.altmath.binary(base, a, b)
-            ops[0].write64(context, self._produce(result, context), lane, fp=True)
-
-    def _emulate_xorpd(self, binding: Binding, context):
-        ops = binding.operands
-        for lane in range(2):
-            a = ops[0].read64(context, lane, fp=True)
-            b = ops[1].read64(context, lane, fp=True)
-            # Raw xor: correct for plain doubles, and correct for boxed
-            # values when the mask only touches the sign bit (the
-            # compiler idiom) thanks to the negation convention.
-            if nanbox.is_boxed(a) and (b & ~B.F64_SIGN_MASK):
-                # A non-sign mask over a boxed value: demote first.
-                a = self.demote_bits(a)
-            if nanbox.is_boxed(b) and (a & ~B.F64_SIGN_MASK) and not nanbox.is_boxed(a):
-                b = self.demote_bits(b)
-            ops[0].write64(context, (a ^ b) & U64, lane, fp=True)
-
-    def _emulate_fp_move(self, mn: str, binding: Binding, context):
-        ops = binding.operands
-        dst, src = ops
-        if mn == "movsd":
-            if dst.kind == "xmm" and src.kind == "xmm":
-                dst.write64(context, src.read64(context, 0, fp=True), 0, fp=True)
-            elif dst.kind == "xmm":
-                dst.write64(context, src.read64(context, 0, fp=True), 0, fp=True)
-                context.write_xmm(dst.index, 0, 1)  # zero high lane
-            else:
-                dst.write64(context, src.read64(context, 0, fp=True), 0, fp=True)
-        elif mn in ("movapd", "movupd"):
-            lo = src.read64(context, 0, fp=True)
-            hi = src.read64(context, 1, fp=True)
-            dst.write64(context, lo, 0, fp=True)
-            dst.write64(context, hi, 1, fp=True)
-        elif mn == "movq":
-            value = src.read64(context, 0, fp=True)
-            dst.write64(context, value, 0, fp=True)
-            if dst.kind == "xmm":
-                context.write_xmm(dst.index, 0, 1)
-        elif mn == "movhpd":
-            if dst.kind == "xmm":
-                dst.write64(context, src.read64(context, 0, fp=True), 1, fp=True)
-            else:
-                dst.write64(context, src.read64(context, 1, fp=True), 0, fp=True)
-        elif mn == "movlpd":
-            if dst.kind == "xmm":
-                dst.write64(context, src.read64(context, 0, fp=True), 0, fp=True)
-            else:
-                dst.write64(context, src.read64(context, 0, fp=True), 0, fp=True)
-        else:  # pragma: no cover
-            raise KeyError(mn)
-
-    def _emulate_int_move(self, mn: str, binding: Binding, context):
-        ops = binding.operands
-        if mn == "mov":
-            ops[0].write64(context, ops[1].read64(context, 0, fp=False), 0, fp=False)
-        elif mn == "lea":
-            ops[0].write64(context, ops[1].address, 0, fp=False)
-        elif mn == "push":
-            rsp = (context.read_gpr(RSP) - 8) & U64
-            context.write_gpr(RSP, rsp)
-            context.memory.write_u64(rsp, ops[0].read64(context, 0, fp=False))
-        elif mn == "pop":
-            rsp = context.read_gpr(RSP)
-            ops[0].write64(context, context.memory.read_u64(rsp), 0, fp=False)
-            context.write_gpr(RSP, (rsp + 8) & U64)
-        else:  # pragma: no cover
-            raise KeyError(mn)

@@ -26,8 +26,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
+from repro.core.emulator import BoundOp
 from repro.machine.isa import Instruction
-from repro.machine.uops import lower, shared_cache
+from repro.machine.uops import shared_cache
 
 
 @dataclass
@@ -135,20 +136,19 @@ class CompiledTrace:
     """A hot trace promoted into a pre-resolved closure (§4.2's trace
     cache made literal).
 
-    ``steps`` caches per-address what the interpreted loop re-derives
-    on every trap: whether the boxed-source probe applies (static:
-    FP-trap-capable and not ``cvtsi2sd``) and the instruction size.
-    Execution still fetches each instruction through the decode cache
-    (identical charging and hit accounting) and runs the data-dependent
-    probes — only the host-side re-decisions (patch lookups, supported
-    checks, loop control) are compiled away.  Built only for trace
-    shapes whose mid-trace stops are data probes; anything else stays
-    interpreted.
+    ``steps`` carries per address the emulator's bound op, so a replay
+    re-decides nothing the interpreted loop decides on every trap:
+    whether the boxed-source probe applies (the op has probe sources),
+    patch lookups, supported checks and binding.  Execution still
+    fetches each instruction through the decode cache (identical
+    charging and hit accounting) and runs the data-dependent probes.
+    Built only for trace shapes whose mid-trace stops are data probes;
+    anything else stays interpreted.
     """
 
     entry: int
-    #: (addr, probe_needed) per emulated instruction of the hot trace.
-    steps: list[tuple[int, bool]]
+    #: (addr, bound op) per emulated instruction of the hot trace.
+    steps: list[tuple[int, BoundOp]]
     #: address of the recorded terminator (first non-emulated instr).
     end: int
     hits: int = 0
@@ -272,9 +272,9 @@ class SequenceEmulator:
         vm.telemetry.compiled_trace_hits += 1
         trace.hits += 1
         emulated: list[int] = []
-        for addr, probe in trace.steps:
+        for addr, op in trace.steps:
             uop = self._fetch(addr)
-            if emulated and probe and not emulator.any_source_boxed(uop, context):
+            if emulated and op.probes and not emulator.any_source_boxed(uop, context):
                 # Data-dependent early stop, same as interpreted.
                 self._finish(tuple(emulated), uop.mnemonic, "no_boxed_source")
                 return addr
@@ -312,14 +312,12 @@ class SequenceEmulator:
     def _compile(self, addrs: tuple[int, ...]) -> None:
         vm = self.vm
         by_addr = vm.program.by_addr
-        steps: list[tuple[int, bool]] = []
+        steps: list[tuple[int, BoundOp]] = []
         for addr in addrs:
-            instr = by_addr.get(addr)
-            if instr is None:
+            op = vm.emulator.bound_at(addr)
+            if addr not in by_addr or op is None:
                 return  # decoded off the static image: stay interpreted
-            uop = lower(instr)
-            probe = uop.fp_trap_capable and uop.mnemonic != "cvtsi2sd"
-            steps.append((addr, probe))
+            steps.append((addr, op))
         last = by_addr[addrs[-1]]
         end = addrs[-1] + last.size
         self._trace_cache()[addrs[0]] = CompiledTrace(addrs[0], steps, end)
@@ -332,7 +330,7 @@ class SequenceEmulator:
         vm = self.vm
         cached = vm.decode_cache.lookup(addr)
         if cached is not None:
-            vm.charge("decache", vm.costs.decode_cache_hit)
+            vm.ledger.charge("decache", vm.costs.decode_cache_hit)
             vm.telemetry.decode_hits += 1
             return cached
         vm.charge("decache", vm.costs.decode_cache_hit)  # the failed probe

@@ -33,9 +33,10 @@ class CycleLedger:
         already added to the CPU by someone else (the kernel charges
         the CPU itself and routes the category here).
         """
-        if category not in self.by_category:
-            raise KeyError(f"unknown ledger category {category!r}")
-        self.by_category[category] += cycles
+        try:
+            self.by_category[category] += cycles
+        except KeyError:
+            raise KeyError(f"unknown ledger category {category!r}") from None
         if cpu_time and self._cpu is not None:
             self._cpu.cycles += cycles
 

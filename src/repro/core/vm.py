@@ -305,24 +305,19 @@ class FPVM:
         return True
 
     # ------------------------------------ clobber-masked state save (§3.1)
-    def _fp_entry_save(self, context, trap) -> dict[int, int]:
-        """Entry-stub XMM save.  Eager mode snapshots all 32 lanes; lazy
-        mode saves only the trapped instruction's declared clobber set
-        (its XMM operand lanes) — the registers the handler's host-side
-        emulation code actually touches.  Returns lane-index -> value."""
+    def _fp_entry_save(self, context, trap) -> tuple[int, list[list[int]]]:
+        """Entry-stub XMM save.  Eager mode protects all 32 lanes; lazy
+        mode only the trapped instruction's declared clobber set (its
+        XMM operand lanes) — the registers the handler's host-side
+        emulation code actually touches.  Returns the protected lane
+        mask and one copy of the bank."""
         if self.config.lazy_state_save:
             instr = context.cpu.program.by_addr.get(trap.addr)
             mask = instr.xmm_operands() if instr is not None else 0xFFFF_FFFF
         else:
             mask = 0xFFFF_FFFF
-        saved: dict[int, int] = {}
-        m = mask
-        while m:
-            bit = m & -m
-            idx = bit.bit_length() - 1
-            saved[idx] = context.read_xmm(idx >> 1, idx & 1)
-            m ^= bit
-        self.ledger.count("fp_handler_lanes_saved", len(saved))
+        saved = [lanes.copy() for lanes in context.xmm_bank]
+        self.ledger.count("fp_handler_lanes_saved", mask.bit_count())
         if self.fp_scribble_mask:
             # Armed seam: the handler body trashes these lanes.
             m = self.fp_scribble_mask
@@ -331,20 +326,23 @@ class FPVM:
                 idx = bit.bit_length() - 1
                 context.raw_write_xmm(idx >> 1, 0xDEAD_BEEF_DEAD_BEEF, idx & 1)
                 m ^= bit
-        return saved
+        return mask, saved
 
-    def _fp_exit_restore(self, context, saved: dict[int, int]) -> None:
-        """Exit-stub restore: put back every saved lane the handler did
-        not write as a result.  In a clean run this is value-identical
-        to doing nothing; with the scribble seam armed it is what keeps
+    def _fp_exit_restore(self, context, saved: tuple[int, list[list[int]]]) -> None:
+        """Exit-stub restore: put back every protected lane the handler
+        did not write as a result.  Only lanes whose value changed are
+        written — in a clean run none — but every lane the stub owes is
+        counted.  With the scribble seam armed this is what keeps
         handler host code from leaking into guest state."""
-        written = context.written_xmm
-        restored = 0
-        for idx, value in saved.items():
-            if not (written >> idx) & 1:
-                context.raw_write_xmm(idx >> 1, value, idx & 1)
-                restored += 1
-        self.ledger.count("fp_handler_lanes_restored", restored)
+        mask, lanes = saved
+        owed = mask & ~context.written_xmm
+        for xid, now in enumerate(context.xmm_bank):
+            old = lanes[xid]
+            if now != old:
+                for lane in (0, 1):
+                    if now[lane] != old[lane] and (owed >> (2 * xid + lane)) & 1:
+                        context.raw_write_xmm(xid, old[lane], lane)
+        self.ledger.count("fp_handler_lanes_restored", owed.bit_count())
 
     def _on_sigtrap(self, signum, context, trap) -> None:
         """Baseline int3 correctness trap: demote then single-step."""

@@ -82,6 +82,12 @@ class SignalContext:
             self._snap["xmm"][xid][lane] = value & 0xFFFF_FFFF_FFFF_FFFF
             self._snap["fp_dirty"] |= 1 << (2 * xid + lane)
 
+    @property
+    def xmm_bank(self) -> list[list[int]]:
+        """The XMM lane storage this context reads and writes: the live
+        register file, or the frame's snapshot of it."""
+        return self.cpu.regs.xmm if self.live else self._snap["xmm"]
+
     def raw_write_xmm(self, xid: int, value: int, lane: int = 0) -> None:
         """Write a lane *without* dirty/result tracking.  Two users: the
         handler exit stub restoring saved lanes (values the guest

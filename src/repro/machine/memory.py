@@ -288,7 +288,15 @@ class Memory:
 
     # -------------------------------------------------- observed access
     def observed_load(self, addr: int, size: int, fp: bool) -> int:
-        value = self.read_uint(addr, size)
+        # 8-byte access inside one private readable page: read it in
+        # place (the micro-ops' fast loads do the same); anything else
+        # takes the general path with its faults and COW handling.
+        page = self._pages.get(addr >> PAGE_SHIFT)
+        off = addr & (PAGE_SIZE - 1)
+        if size == 8 and page is not None and off <= PAGE_SIZE - 8 and page.prot & PROT_READ:
+            value = int.from_bytes(page.data[off:off + 8], "little")
+        else:
+            value = self.read_uint(addr, size)
         if self.observers:
             kind = "fp_load" if fp else "int_load"
             for obs in self.observers:
@@ -296,7 +304,12 @@ class Memory:
         return value
 
     def observed_store(self, addr: int, value: int, size: int, fp: bool) -> None:
-        self.write_uint(addr, value, size)
+        page = self._pages.get(addr >> PAGE_SHIFT)
+        off = addr & (PAGE_SIZE - 1)
+        if size == 8 and page is not None and off <= PAGE_SIZE - 8 and page.prot & PROT_WRITE:
+            page.data[off:off + 8] = _U64.pack(value & 0xFFFF_FFFF_FFFF_FFFF)
+        else:
+            self.write_uint(addr, value, size)
         if self.observers:
             kind = "fp_store" if fp else "int_store"
             for obs in self.observers:

@@ -17,6 +17,7 @@ from repro.altmath import (
     get_altmath,
 )
 from repro.fpu import bits as B
+from repro.machine import hostfp
 
 f2b = B.float_to_bits
 b2f = B.bits_to_float
@@ -28,6 +29,22 @@ ALL_SYSTEMS = [
     IntervalSystem(),
     RationalSystem(),
 ]
+
+#: binary64 patterns biased to the edges: NaN payloads of both kinds
+#: and signs, signed zeros (so zero divisors), subnormals, infinities.
+edge_bits = st.one_of(
+    st.integers(0, (1 << 64) - 1),
+    st.sampled_from([
+        0, B.NEG_ZERO_BITS, B.POS_INF_BITS, B.POS_INF_BITS | B.F64_SIGN_MASK,
+        1, 0x000F_FFFF_FFFF_FFFF, 0x8000_0000_0000_0001,
+        0x7FF8_0000_0000_0000, 0xFFF8_0000_0000_0000,
+        0x7FF8_0000_0000_BEEF, 0xFFF0_0000_0000_0001, 0x7FF4_0000_0000_0000,
+        f2b(1.0), f2b(-2.5), f2b(1e308), f2b(-1e-308),
+    ]),
+    st.builds(lambda sign, exp, man: sign << 63 | exp << 52 | man,
+              st.integers(0, 1), st.sampled_from([0, 1, 0x7FE, 0x7FF]),
+              st.integers(0, (1 << 52) - 1)),
+)
 
 normal = st.floats(
     allow_nan=False, allow_infinity=False, allow_subnormal=False,
@@ -141,6 +158,16 @@ class TestBoxedIEEEBitExactness:
         sys_ = BoxedIEEE()
         v = sys_.promote(B.NEG_ZERO_BITS)
         assert sys_.demote(v) == B.NEG_ZERO_BITS
+
+    @given(edge_bits, edge_bits)
+    @settings(max_examples=400, deadline=None)
+    def test_fast_scalars_match_native_fp(self, a, b):
+        """Boxed IEEE arithmetic runs on the micro-ops' fast scalars; it
+        must equal the numpy oracle bit for bit on every pattern."""
+        sys_ = BoxedIEEE()
+        for op in ("add", "sub", "mul", "div", "min", "max"):
+            assert sys_.binary(op, a, b) == hostfp.native_fp(op, a, b), op
+        assert sys_.unary("sqrt", a) == hostfp.native_fp("sqrt", a)
 
 
 class TestMPFRPrecision:

@@ -2,6 +2,8 @@
 heat threshold, bit-identical replay, the disable knobs, and eviction
 when the program's patch state changes."""
 
+from repro.core import emulator as emulator_module
+from repro.core.sequences import SequenceEmulator
 from repro.core.vm import FPVM, FPVMConfig
 from repro.kernel.kernel import LinuxKernel
 from repro.machine.assembler import assemble
@@ -77,6 +79,39 @@ class TestPromotion:
         )
         assert vm.uops_enabled is False
         assert vm.telemetry.compiled_traces == 0
+
+
+class TestBoundReplay:
+    def test_replays_run_bound_ops(self, monkeypatch):
+        """Every compiled replay runs the ops the emulator bound when the
+        trace was first walked: nothing binds during a replay, and each
+        step carries the emulator's op for its address."""
+        replaying = []
+        binds = []
+        real_bind = emulator_module.bind
+        real_replay = SequenceEmulator._run_compiled
+
+        def bind(uop, vm):
+            binds.append((uop.addr, bool(replaying)))
+            return real_bind(uop, vm)
+
+        def replay(self, trace, context):
+            replaying.append(trace.entry)
+            try:
+                return real_replay(self, trace, context)
+            finally:
+                replaying.pop()
+
+        monkeypatch.setattr(emulator_module, "bind", bind)
+        monkeypatch.setattr(SequenceEmulator, "_run_compiled", replay)
+        _, vm = run_fpvm(LOOP_SRC, FPVMConfig.seq_short(trace_compile_threshold=2))
+        assert vm.telemetry.compiled_trace_hits > 0
+        assert binds and not any(during for _, during in binds)
+        assert len(binds) == len({addr for addr, _ in binds})
+        for trace in vm.sequencer.compiled.values():
+            for addr, op in trace.steps:
+                assert op is vm.emulator.bound_at(addr)
+                assert op.uop.addr == addr
 
 
 class TestReplayEquivalence:

@@ -123,3 +123,38 @@ def test_wrapper_guard_is_masked_too():
         saved[lazy] = vm.ledger.counters.get("fp_wrapper_lanes_saved", 0)
     assert outs[True] == outs[False]
     assert 0 < saved[True] < saved[False]
+
+
+@pytest.mark.parametrize("short", [False, True], ids=["frame", "live"])
+@pytest.mark.parametrize("lazy", [False, True], ids=["eager", "lazy"])
+def test_scribble_undone_and_lane_counts_exact(lazy, short):
+    """The exit stub undoes the armed seam inside the save set in both
+    delivery contexts, and the lane counters stay exact: saved is the
+    save set's size, restored every saved lane the handler did not
+    write (all but the addsd result lane), changed or not."""
+    def run(scribble):
+        prog = assemble(SRC)
+        install_host_library(prog)
+        cpu = CPU(prog)
+        kernel = LinuxKernel()
+        cpu.kernel = kernel
+        vm = FPVM(FPVMConfig(trap_all_fp=True, lazy_state_save=lazy,
+                             trap_short_circuit=short))
+        vm.attach(cpu, kernel)
+        vm.fp_scribble_mask = scribble
+        cpu.run()
+        return cpu, vm
+
+    ref_cpu, ref_vm = run(0)
+    cpu, vm = run(SCRIBBLE)
+    assert vm.telemetry.traps == 1
+    assert (vm.telemetry.short_circuit_traps == 1) is short
+    assert cpu.output == ref_cpu.output
+    saved = 4 if lazy else 32
+    counters = vm.ledger.counters
+    assert counters["fp_handler_lanes_saved"] == saved
+    assert counters["fp_handler_lanes_restored"] == saved - 1
+    assert ref_vm.ledger.counters == counters
+    assert cpu.regs.xmm[:15] == ref_cpu.regs.xmm[:15]
+    assert cpu.regs.xmm[15] == ([DEADBEEF, DEADBEEF] if lazy
+                                else ref_cpu.regs.xmm[15])
